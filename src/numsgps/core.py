@@ -196,7 +196,10 @@ def parse_generators(text: str) -> list[int]:
         import json
 
         data = json.loads(text)
-        if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+        # bool is a subclass of int, but true/false are not generators
+        if not isinstance(data, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in data
+        ):
             raise ValueError("JSON generator list must be an array of integers")
         return data
     try:

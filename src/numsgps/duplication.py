@@ -118,9 +118,10 @@ def predicted_duplication_hilbert(
         H_source.value_at(h) + H_source.value_at(h - 1) for h in range(2, h_max + 1)
     )
     stable_from: int | None = None
-    if H_source.stable_from is not None:
+    # the sums H(h) + H(h-1) are certified constant only from stable_from + 1 on
+    if H_source.stable_from is not None and H_source.stable_from + 1 <= h_max:
         doubled = 2 * H_source.stable_value
-        k = min(H_source.stable_from + 1, h_max)
+        k = H_source.stable_from + 1
         while k > 1 and values[k - 1] == doubled:
             k -= 1
         stable_from = k

@@ -55,10 +55,17 @@ def _fixture_dir() -> Path:
     return Path(str(resources.files("numsgps").joinpath("fixtures")))
 
 
-@lru_cache(maxsize=8)
 def load_registry(directory: str | None = None) -> dict[str, Fixture]:
-    """All fixtures by name, checksum-verified, aliases resolved."""
-    base = Path(directory) if directory else _fixture_dir()
+    """All fixtures by name, checksum-verified, aliases resolved.
+
+    The directory is resolved on every call, so a later change of
+    ``SEMIGROUP_FIXTURES`` takes effect; the registry is cached per directory.
+    """
+    return _load_registry(Path(directory) if directory else _fixture_dir())
+
+
+@lru_cache(maxsize=8)
+def _load_registry(base: Path) -> dict[str, Fixture]:
     index_path = base / "index.json"
     if not index_path.exists():
         raise FixtureIntegrityError(f"no fixture index at {index_path}")
@@ -83,6 +90,10 @@ def load_registry(directory: str | None = None) -> dict[str, Fixture]:
             raise FixtureIntegrityError(f"alias {alias!r} points at unknown fixture {target!r}")
         registry[alias] = registry[target]
     return registry
+
+
+# callers that drop cached registries keep using load_registry.cache_clear()
+load_registry.cache_clear = _load_registry.cache_clear
 
 
 def get_fixture(name: str) -> Fixture:

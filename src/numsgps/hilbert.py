@@ -1,20 +1,20 @@
 """Apery sets, element orders and Hilbert functions of a numerical semigroup.
 
 The Hilbert function counts H(h) = |hM \\ (h+1)M| where M is the maximal
-ideal S \\ {0}.  Every value here is computed exactly inside a finite window:
-an element of order exactly h satisfies h*e <= s < c + h*e (c the conductor,
-e the multiplicity), so the window [0, c + (h_max+2)*e) captures everything
-needed for H(0..h_max).
+ideal S \\ {0}.  Everything is read off the Apery vectors W_k = Ap(kM) with
+respect to the multiplicity e: W_k[r] is the smallest member of kM in the
+class r mod e, so kM is described exactly by e integers per level.  The
+rows follow W_{k+1}[r] = min_g W_k[(r - g) mod e] + g over the minimal
+generators g, and give H(k) = sum(W_{k+1} - W_k) / e, the orders
+ord(s) = #{k >= 1 : s >= W_k[s mod e]} and the Apery strata.
 
-Each call computes H twice, by two independent routes, and insists they
-agree: a dynamic program on element orders, and direct set construction of
-the ideal powers hM as bit tables.
+Stabilization is certified, not guessed: the rows stop at the reduction
+index R, the first k >= 1 with W_k = W_{k-1} + e, i.e. kM = (k-1)M + e.
+That identity propagates to every higher power, hence H(h) = e for all
+h >= R - 1, and ``stable_from`` is the start of that constant tail.
 
-Stabilization is certified, not guessed: once (h)M = (h-1)M + e the same
-identity propagates to every higher power, hence H(h') = e for all
-h' >= h - 1.  The smallest such h is found inside the window, enlarging the
-window when necessary, and `stable_from` is only reported when the constant
-tail is proven.
+Each Hilbert call also builds the ideal powers hM directly as bit tables,
+an independent route, and insists that the two agree.
 """
 
 from __future__ import annotations
@@ -30,37 +30,71 @@ class NotStabilized(SemigroupError):
     """The Hilbert values were not computed through stabilization."""
 
 
+def _certify(ok: bool, message: str) -> None:
+    """Fail a documented cross-check; an explicit raise also fires under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 # ---------------------------------------------------------------------------
-# order table (production route)
+# Apery vectors of the powers kM (production route)
 # ---------------------------------------------------------------------------
+
+# Index cells per gather block: bounds the temporary of one block to 512 KiB.
+_GATHER_CELLS = 1 << 16
+
+
+def _apery_powers(S: NumericalSemigroup) -> np.ndarray:
+    """Rows W_0, ..., W_R with W_k = Ap(kM) with respect to e, 0M = S.
+
+    kM meets the class r mod e in W_k[r] + eN, and (k+1)M = kM + G for the
+    minimal generators G, so W_{k+1}[r] = min_g W_k[(r - g) mod e] + g.  R is
+    the reduction index, the first k >= 1 with W_k = W_{k-1} + e (that is,
+    kM = (k-1)M + e); from there on every row is the previous one plus e.
+    """
+    e = S.multiplicity
+    members = np.flatnonzero(S.members_up_to(S.conductor + e))
+    _, first = np.unique(members % e, return_index=True)
+    rows = [members[first]]
+    gens = np.asarray(S.min_gens, dtype=np.int64)
+    # W_k[(r - g) mod e] is entry r of the window of [W_k, W_k] that starts at e - (g mod e)
+    starts = e - gens % e
+    step = max(1, _GATHER_CELLS // e)
+    while True:
+        prev = rows[-1]
+        windows = np.lib.stride_tricks.sliding_window_view(np.tile(prev, 2), e)
+        nxt = np.full(e, np.iinfo(np.int64).max)
+        for lo in range(0, len(gens), step):
+            block = windows[starts[lo : lo + step]] + gens[lo : lo + step, None]
+            np.minimum(nxt, block.min(axis=0), out=nxt)
+        rows.append(nxt)
+        if np.array_equal(nxt, prev + e):
+            return np.stack(rows)
+
+
+def _orders(W: np.ndarray, e: int, s: np.ndarray) -> np.ndarray:
+    """ord(s) = #{k >= 1 : s >= W_k[s mod e]} elementwise; -1 off S.
+
+    Rows past W_R grow by e per level, so the levels k > R add
+    max(0, (s - W_R[s mod e]) // e).
+    """
+    r = s % e
+    orders = np.where(s >= W[0][r], 0, -1)
+    for row in W[1:]:
+        orders += s >= row[r]
+    return orders + np.maximum((s - W[-1][r]) // e, 0)
+
 
 def order_table(S: NumericalSemigroup, bound: int) -> np.ndarray:
-    """ord(s) for every s in [0, bound); -1 marks non-members.
-
-    Maximal expressions only ever use minimal generators (a non-generator
-    summand could be split, lengthening the expression), so
-    ord(s) = 1 + max{ord(s - g) : g minimal generator, s - g in S}.
-    """
-    bits = S.members_up_to(bound)
-    orders = np.full(bound, -1, dtype=np.int64)
-    if bound == 0:
-        return orders
-    orders[0] = 0
-    gens = np.asarray(S.min_gens, dtype=np.int64)
-    members = np.flatnonzero(bits)
-    for s in members[1:]:
-        k = int(np.searchsorted(gens, s, side="right"))
-        orders[s] = orders[s - gens[:k]].max() + 1
-    return orders
+    """ord(s) for every s in [0, bound); -1 marks non-members."""
+    return _orders(_apery_powers(S), S.multiplicity, np.arange(bound, dtype=np.int64))
 
 
 def element_order(S: NumericalSemigroup, s: int) -> int:
     """Largest number of nonzero summands expressing s; ord(0) = 0."""
     if not S.contains(s):
         raise NotMember(f"{s} is not an element of {S!r}")
-    if s == 0:
-        return 0
-    return int(order_table(S, s + 1)[s])
+    return int(_orders(_apery_powers(S), S.multiplicity, np.array([s], dtype=np.int64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -136,72 +170,41 @@ class HilbertFunction:
         return {"values": list(self.values), "stable_from": self.stable_from}
 
 
-def _reduction_index(orders: np.ndarray, e: int, h_hi: int) -> int | None:
-    """Smallest h in [1, h_hi] with hM = (h-1)M + e inside the table, else None.
+def _hilbert_counts(S: NumericalSemigroup) -> tuple[list[int], int]:
+    """H(0..R-1) read off the Apery rows, and the certified ``stable_from``.
 
-    The identity is checked as: ord(s) >= h  iff  s >= e and ord(s-e) >= h-1,
-    for every s in the window.  Outside the window both sides hold once
-    s >= c + h*e, so the window check is conclusive.
-    """
-    shifted = np.full(len(orders), -1, dtype=np.int64)
-    shifted[e:] = orders[:-e]
-    for h in range(1, h_hi + 1):
-        if np.array_equal(orders >= h, shifted >= h - 1):
-            return h
-    return None
-
-
-def _hilbert_counts(S: NumericalSemigroup, h_cap: int) -> tuple[np.ndarray, int]:
-    """Exact order counts through at least ``h_cap`` plus the certified
-    stabilization index (smallest h with constant H = e from there on).
-
-    The window is enlarged automatically until the power-ideal reduction
-    h M = (h-1)M + e is found, which proves the constant-e tail.
+    The reduction RM = (R-1)M + e gives H(h) = e for every h >= R - 1.
     """
     e = S.multiplicity
-    attempts = 0
-    while True:
-        bound = max(S.conductor + (h_cap + 2) * e, 2 * e + 2)
-        orders = order_table(S, bound)
-        counts = np.bincount(orders[orders >= 0], minlength=h_cap + 2)
-        reduction = _reduction_index(orders, e, h_cap + 1)
-        if reduction is not None:
-            break
-        attempts += 1
-        if attempts > 32:  # unreachable: the reduction index is always finite
-            raise RuntimeError("Hilbert stabilization not found; window runaway")
-        h_cap = max(2 * h_cap, h_cap + 8)
-
-    # counts[h] is exact for h <= h_cap + 1; H(h) = e for all h >= reduction - 1.
-    start = reduction - 1
+    W = _apery_powers(S)
+    counts = ((W[1:] - W[:-1]).sum(axis=1) // e).tolist()
+    start = len(counts) - 1
     while start > 0 and counts[start - 1] == e:
         start -= 1
     return counts, start
 
 
-def _cross_check(S: NumericalSemigroup, values: tuple[int, ...]) -> None:
-    oracle = hilbert_by_set_construction(S, len(values) - 1)
-    assert list(values) == oracle, (
-        "order-count and set-construction Hilbert values disagree"
-    )
+def _cross_check(S: NumericalSemigroup, counts: list[int], h_max: int) -> tuple[int, ...]:
+    """H(0..h_max) from ``counts`` and the constant-e tail, checked against the oracle."""
+    values = tuple((counts + [S.multiplicity] * (h_max + 1))[: h_max + 1])
+    oracle = hilbert_by_set_construction(S, h_max)
+    _certify(list(values) == oracle, "Apery-row and set-construction Hilbert values disagree")
+    return values
 
 
 def hilbert_function(S: NumericalSemigroup, h_max: int) -> HilbertFunction:
     """Exact H(0..h_max) with a certified ``stable_from`` marker."""
     if h_max < 1:
         raise ValueError("h_max must be at least 1")
-    counts, start = _hilbert_counts(S, h_max)
-    values = tuple(int(counts[h]) for h in range(h_max + 1))
-    _cross_check(S, values)
+    counts, start = _hilbert_counts(S)
+    values = _cross_check(S, counts, h_max)
     return HilbertFunction(values=values, stable_from=start if start <= h_max else None)
 
 
 def hilbert_through_stabilization(S: NumericalSemigroup, h_min: int = 1) -> HilbertFunction:
     """Hilbert values extended far enough that ``stable_from`` is present."""
-    counts, start = _hilbert_counts(S, max(h_min, 1))
-    h_max = max(h_min, start, 1)
-    values = tuple(int(counts[h]) for h in range(h_max + 1))
-    _cross_check(S, values)
+    counts, start = _hilbert_counts(S)
+    values = _cross_check(S, counts, max(h_min, start, 1))
     return HilbertFunction(values=values, stable_from=start)
 
 
@@ -244,24 +247,24 @@ class AperyTable:
 
 
 def apery_table(S: NumericalSemigroup) -> AperyTable:
-    """Apery set of S with respect to the multiplicity, stratified by order."""
-    e = S.multiplicity
-    bound = S.conductor + e + 1
-    bits = S.members_up_to(bound)
-    members = np.flatnonzero(bits)
-    _, first = np.unique(members % e, return_index=True)
-    elements = tuple(sorted(int(members[i]) for i in first))
-    orders_arr = order_table(S, bound)
-    orders = {a: int(orders_arr[a]) for a in elements}
+    """Apery set of S with respect to the multiplicity, stratified by order.
+
+    An Apery element a = W_0[r] lies in kM exactly when W_k[r] = W_0[r].
+    """
+    W = _apery_powers(S)
+    apery_orders = (W[1:] == W[0]).sum(axis=0)
+    orders = {int(a): int(o) for a, o in sorted(zip(W[0], apery_orders))}
+    elements = tuple(orders)
 
     grouped: dict[int, list[int]] = {}
     for a in elements:
         if a != 0:
             grouped.setdefault(orders[a], []).append(a)
-    strata = {k: tuple(sorted(v)) for k, v in sorted(grouped.items())}
+    strata = {k: tuple(v) for k, v in sorted(grouped.items())}
 
-    assert len(elements) == e and elements[0] == 0
-    assert strata.get(1, ()) == tuple(g for g in S.min_gens if g != e)
+    _certify(len(elements) == S.multiplicity and elements[0] == 0, "malformed Apery set")
+    _certify(strata.get(1, ()) == tuple(g for g in S.min_gens if g != S.multiplicity),
+             "order-1 Apery stratum differs from the minimal generators")
     return AperyTable(elements=elements, orders=orders, strata=strata)
 
 
@@ -297,27 +300,20 @@ def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
     e = S.multiplicity
     bound = S.conductor + (k_max + 2) * e
     orders = order_table(S, bound)
+    below = np.full(bound, -1)  # ord(s - e); -1 where s - e < 0
+    below[e:] = orders[:-e]
+    above = np.full(bound, -1)  # ord(s + e); -1 past the table
+    above[:-e] = orders[e:]
 
     c_sets: dict[int, tuple[int, ...]] = {}
     d_sets: dict[int, tuple[int, ...]] = {}
     d_refined: dict[int, dict[int, tuple[int, ...]]] = {}
     for k in range(2, k_max + 1):
-        c_elems = [
-            int(s)
-            for s in np.flatnonzero(orders == k)
-            if s < e or orders[s - e] < k - 1
-        ]
-        d_elems = [
-            int(s)
-            for s in np.flatnonzero(orders == k - 1)
-            if s + e < bound and orders[s + e] > k
-        ]
-        c_sets[k] = tuple(c_elems)
-        d_sets[k] = tuple(d_elems)
-        refined: dict[int, list[int]] = {}
-        for s in d_elems:
-            refined.setdefault(int(orders[s + e]), []).append(s)
-        d_refined[k] = {t: tuple(v) for t, v in sorted(refined.items())}
+        c_sets[k] = tuple(np.flatnonzero((orders == k) & (below < k - 1)).tolist())
+        d_elems = np.flatnonzero((orders == k - 1) & (above > k))
+        d_sets[k] = tuple(d_elems.tolist())
+        landing = above[d_elems]
+        d_refined[k] = {int(t): tuple(d_elems[landing == t].tolist()) for t in np.unique(landing)}
 
     _assert_layer_identities(S, orders, c_sets, d_refined, k_max)
     return LayerSets(c_sets=c_sets, d_sets=d_sets, d_refined=d_refined)
@@ -329,12 +325,7 @@ def _assert_layer_identities(S, orders, c_sets, d_refined, k_max):
     apery = apery_table(S)
     for k in range(2, k_max + 1):
         pieces = [set(apery.stratum(k))]
-        for h in range(2, k):
-            pieces.append({s + e for s in d_refined.get(h, {}).get(k, ())})
-        union: set[int] = set()
-        total = 0
-        for piece in pieces:
-            union |= piece
-            total += len(piece)
-        assert total == len(union), f"C_{k} pieces overlap"
-        assert union == set(c_sets[k]), f"C_{k} does not match its decomposition"
+        pieces += [{s + e for s in d_refined.get(h, {}).get(k, ())} for h in range(2, k)]
+        union = set().union(*pieces)
+        _certify(sum(map(len, pieces)) == len(union), f"C_{k} pieces overlap")
+        _certify(union == set(c_sets[k]), f"C_{k} does not match its decomposition")

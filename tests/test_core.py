@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from numsgps import GcdError, NumericalSemigroup, parse_generators
+from numsgps.cli import main
 
 from conftest import brute_members
 
@@ -117,3 +118,10 @@ def test_parse_generators():
         parse_generators("2;3")
     with pytest.raises(ValueError):
         parse_generators("[2, \"x\"]")
+
+
+def test_parse_generators_rejects_json_booleans(capsys):
+    with pytest.raises(ValueError):
+        parse_generators("[true, 3]")
+    assert main(["info", "[true, 3]"]) == 2
+    assert "array of integers" in capsys.readouterr().err

@@ -98,6 +98,15 @@ def test_prediction_type53_seed():
     assert pred.stable_from == 7
 
 
+def test_prediction_stable_from_matches_direct():
+    S = fixture_semigroup("ex2_13_ii")
+    T = numerical_duplication(S, standard_canonical_ideal(S).shift(S.frobenius + 1), 33)
+    for h_max in range(1, 11):
+        HS = hilbert_through_stabilization(S, max(h_max, 2))
+        pred = predicted_duplication_hilbert(HS, semigroup_type(S), h_max)
+        assert pred.stable_from == hilbert_function(T, h_max).stable_from, h_max
+
+
 def test_prediction_requires_enough_source_values():
     H = HilbertFunction(values=(1, 5, 6), stable_from=None)
     with pytest.raises(NotStabilized):

@@ -78,6 +78,15 @@ def test_env_var_override(tmp_path, monkeypatch):
         load_registry.cache_clear()
 
 
+def test_env_var_set_after_first_load(tmp_path, monkeypatch):
+    load_registry()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.setenv("SEMIGROUP_FIXTURES", str(empty))
+    with pytest.raises(FixtureIntegrityError):
+        load_registry()
+
+
 def test_broken_claim_reported(tmp_path):
     fx = get_fixture("ex3_11_small")
     tampered = type(fx)(

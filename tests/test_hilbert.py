@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import numsgps
 from numsgps import (
     HilbertFunction,
     NotMember,
@@ -18,9 +23,15 @@ from numsgps import (
     hilbert_function,
     hilbert_through_stabilization,
     layer_sets,
+    order_table,
 )
 
-from conftest import brute_hilbert, brute_orders, random_semigroup
+from conftest import brute_hilbert, brute_members, brute_orders, random_semigroup
+
+
+def semigroup_gens(max_gen: int = 20):
+    gens = st.lists(st.integers(min_value=2, max_value=max_gen), min_size=1, max_size=4)
+    return gens.filter(lambda g: math.gcd(*g) == 1)
 
 
 def test_element_order_known_values():
@@ -191,3 +202,68 @@ def test_hilbert_shape_properties(gens):
     assert H.values[1] == S.embedding_dimension or S.conductor == 0
     levels = decrease_levels(H)
     assert all(H.values[h - 1] > H.values[h] for h in levels)
+
+
+def test_element_order_huge_element():
+    S = NumericalSemigroup.from_generators([4, 6, 7])
+    assert element_order(S, 10**12) == 250000000000
+    assert element_order(S, 10**12 + 13) == 250000000002
+
+
+@given(semigroup_gens())
+@settings(max_examples=40, deadline=None)
+def test_order_table_past_reduction_matches_brute(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    e = S.multiplicity
+    # the reduction index is at most e, so this window reaches beyond it
+    bound = S.conductor + (e + 3) * e
+    want = brute_orders(S.min_gens, bound)
+    got = order_table(S, bound)
+    assert {s: int(got[s]) for s in range(bound) if got[s] >= 0} == want
+    assert all(got[s] == -1 for s in range(bound) if s not in want)
+
+
+@given(semigroup_gens())
+@settings(max_examples=40, deadline=None)
+def test_apery_strata_match_brute(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    e = S.multiplicity
+    bound = S.conductor + e
+    orders = brute_orders(S.min_gens, bound)
+    members = sorted(brute_members(S.min_gens, bound))
+    apery = sorted({s % e: s for s in reversed(members)}.values())
+    strata: dict[int, tuple[int, ...]] = {}
+    for a in apery[1:]:
+        strata[orders[a]] = strata.get(orders[a], ()) + (a,)
+    ap = apery_table(S)
+    assert ap.elements == tuple(apery)
+    assert ap.orders == {a: orders[a] for a in apery}
+    assert ap.strata == dict(sorted(strata.items()))
+
+
+@given(semigroup_gens(max_gen=12))
+@settings(max_examples=30, deadline=None)
+def test_hilbert_through_stabilization_matches_brute(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    H = hilbert_through_stabilization(S)
+    e, start = S.multiplicity, H.stable_from
+    brute = brute_hilbert(S.min_gens, start + 3)
+    assert list(H.values) == brute[: len(H.values)]
+    assert brute[start:] == [e] * 4
+    assert start == 0 or brute[start - 1] != e
+
+
+def test_cross_check_fires_under_python_O():
+    script = (
+        "import sys\n"
+        "import numsgps.hilbert\n"
+        "from numsgps.cli import main\n"
+        "numsgps.hilbert.hilbert_by_set_construction = lambda S, h_max: [0] * (h_max + 1)\n"
+        "sys.exit(main(['hilbert', '4,6,7', '--hmax', '5']))\n"
+    )
+    src = str(Path(numsgps.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "Hilbert values disagree" in proc.stderr
