@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .core import NumericalSemigroup, SemigroupError
+from .core import NumericalSemigroup, SemigroupError, _certify
 from .hilbert import apery_table, decrease_levels, hilbert_through_stabilization
 from .ideals import is_almost_symmetric, nari_partition, pseudo_frobenius, semigroup_type
 
@@ -114,9 +114,10 @@ def construct_asd(ell: int) -> ConstructionData:
         if p >= 1 and q >= 1:
             r_family[(p, q)] = ell * n1 + e - s
 
-    assert len(s_family) == (ell * ell + 3 * ell) // 2
-    assert len(r_family) == (ell * ell + ell) // 2
-    assert ell * n1 + (ell - 1) * e == (ell + 2) * n2
+    _certify(len(s_family) == (ell * ell + 3 * ell) // 2, "s family has the wrong size")
+    _certify(len(r_family) == (ell * ell + ell) // 2, "r family has the wrong size")
+    _certify(ell * n1 + (ell - 1) * e == (ell + 2) * n2,
+             "base generators break ell*n1 + (ell-1)*e = (ell+2)*n2")
 
     gamma_set = {e, n1, n2, t1, t2}
     gamma_set.update(s_family.values())
@@ -124,11 +125,11 @@ def construct_asd(ell: int) -> ConstructionData:
     gamma_set.discard(n1 + n2)
     gamma_set.discard(2 * n2)
     gamma = tuple(sorted(gamma_set))
-    assert len(gamma) == e - ell - 1, "generating families collide unexpectedly"
+    _certify(len(gamma) == e - ell - 1, "generating families collide unexpectedly")
 
     semigroup = NumericalSemigroup.from_generators(gamma)
-    assert semigroup.min_gens == gamma, "construction produced a redundant generator"
-    assert t2 in semigroup.min_gens
+    _certify(semigroup.min_gens == gamma, "construction produced a redundant generator")
+    _certify(t2 in semigroup.min_gens, "t2 is not a minimal generator")
     return ConstructionData(
         ell=ell,
         e=e,

@@ -1,10 +1,19 @@
 """Numerical semigroups as exact integer objects.
 
 A numerical semigroup is a submonoid of the naturals with finite complement.
-It is stored here as its unique minimal generating system together with a
-dense membership table up to the conductor, so that every later query
-(membership, gaps, Apery sets, Hilbert values) is a table lookup or a short
-exact computation, never an approximation.
+Every subset of the integers closed under adding the semigroup, the
+semigroup itself and its relative ideals alike, meets each residue class
+mod the multiplicity e in an arithmetic progression with step e.  Such a set
+is stored as one read-only int64 vector ``w`` of length e, its Apery vector:
+``w[r]`` is the smallest member in the class r mod e, and x is a member
+exactly when ``x >= w[x % e]``.  Memory is O(e) whatever the conductor, and
+every invariant is an exact integer read off ``w``: the Frobenius number is
+max(w) - e, the genus is the number sum(w // e) of gaps below the class
+minima, and gaps or membership tables are produced on demand.
+
+:func:`_members` reads membership off such a vector and :func:`_min_plus`
+is the one routine that combines them; semigroup and ideal arithmetic,
+Hilbert rows and pseudo-Frobenius numbers all reduce to it.
 """
 
 from __future__ import annotations
@@ -14,12 +23,20 @@ from typing import Iterable
 
 import numpy as np
 
-# Generators above this bound would make conductors (and hence the dense
-# tables) explode; all realistic inputs sit far below.
+# Generators above this bound would make conductors explode; all realistic
+# inputs sit far below.
 GENERATOR_LIMIT = 1 << 40
 
-# Hard cap on the dense sieve, to fail loudly instead of eating all memory.
-SIEVE_CEILING = 1 << 28
+# The Apery vector costs 8e bytes and the round robin a few times that.
+MULTIPLICITY_LIMIT = 1 << 24
+
+# Every Apery value is at most (e - 1) * max(gens); below this bound the
+# round robin's intermediate sums and its sentinel _UNREACHED stay in int64.
+APERY_LIMIT = 1 << 59
+_UNREACHED = 1 << 62
+
+# Index cells per gather block: bounds the temporary of one block to 512 KiB.
+_GATHER_CELLS = 1 << 16
 
 
 class SemigroupError(Exception):
@@ -34,52 +51,85 @@ class NotMember(SemigroupError):
     """An integer that was required to lie in the semigroup does not."""
 
 
-def _closure_bits(gens: tuple[int, ...], bound: int) -> np.ndarray:
-    """Exact table of all nonnegative integer combinations of ``gens`` below ``bound``.
+def _certify(ok: bool, message: str) -> None:
+    """Fail a documented cross-check; an explicit raise also fires under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
 
-    Starts from {0} and, for each generator g, ORs in shifts by g, 2g, 4g, ...
-    Doubling the shift makes each pass exact for arbitrarily many copies of g.
+
+def _members(w: np.ndarray, x):
+    """Membership of x (an integer or an array) in the set with Apery vector ``w``."""
+    return x >= w[x % len(w)]
+
+
+def _min_plus(v: np.ndarray, shifts) -> np.ndarray:
+    """out[r] = min over s in ``shifts`` of v[(r - s) mod e] + s, with e = len(v).
+
+    For the Apery vector v of a set X closed under +S, this is the Apery
+    vector of the union of the translates X + s.
     """
-    bits = np.zeros(bound, dtype=bool)
-    if bound == 0:
-        return bits
-    bits[0] = True
-    for g in gens:
-        shift = g
-        while shift < bound:
-            np.logical_or(bits[shift:], bits[:-shift], out=bits[shift:])
-            shift *= 2
-    return bits
+    e = len(v)
+    shifts = np.asarray(shifts, dtype=np.int64)
+    # v[(r - s) mod e] is entry r of the window of [v, v] that starts at e - (s mod e)
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(v, 2), e)
+    starts = e - shifts % e
+    step = max(1, _GATHER_CELLS // e)
+    out = np.full(e, np.iinfo(np.int64).max)
+    for lo in range(0, len(shifts), step):
+        block = windows[starts[lo : lo + step]] + shifts[lo : lo + step, None]
+        np.minimum(out, block.min(axis=0), out=out)
+    return out
 
 
-def _first_full_window(bits: np.ndarray, width: int) -> int:
-    """Smallest index where ``width`` consecutive True entries start, or -1."""
-    n = len(bits)
-    if width > n:
-        return -1
-    counts = np.cumsum(bits, dtype=np.int64)
-    window = counts[width - 1 :].copy()
-    window[1:] -= counts[: n - width]
-    hits = np.flatnonzero(window == width)
-    return int(hits[0]) if len(hits) else -1
+def _round_robin(glist: list[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Minimal generators and Apery vector of the semigroup of sorted ``glist``.
+
+    Adds the generators in ascending order (Boecker-Liptak).  Adding g relaxes
+    w[r + g] against w[r] + g along each cycle r -> r + g (mod e); one prefix
+    minimum over the cycle taken twice around passes every start, including
+    the cycle's minimum.  g is redundant exactly when the generators before
+    it already reach it, i.e. w[g mod e] <= g.
+    """
+    e = glist[0]
+    w = np.full(e, _UNREACHED, dtype=np.int64)
+    w[0] = 0
+    min_gens = [e]
+    for g in glist[1:]:
+        if w[g % e] <= g:
+            continue
+        min_gens.append(g)
+        d = math.gcd(g, e)
+        length = e // d
+        # row c < d walks c, c + g, c + 2g, ... (mod e) twice around its cycle
+        lap = np.arange(2 * length, dtype=np.int64)
+        index = lap * (g % e) % e + np.arange(d, dtype=np.int64)[:, None]
+        steps = lap * g
+        best = w[index] - steps
+        np.minimum.accumulate(best, axis=1, out=best)
+        best += steps
+        w[index[:, :length]] = np.minimum(best[:, :length], best[:, length:])
+    return tuple(min_gens), w
 
 
 class NumericalSemigroup:
-    """Immutable numerical semigroup; build via :meth:`from_generators`."""
+    """Immutable numerical semigroup; build via :meth:`from_generators`.
 
-    __slots__ = ("min_gens", "frobenius", "conductor", "gaps", "_bits")
+    ``w`` is the read-only Apery vector with respect to the multiplicity.
+    """
+
+    __slots__ = ("min_gens", "w", "frobenius", "conductor")
 
     min_gens: tuple[int, ...]
+    w: np.ndarray
     frobenius: int
     conductor: int
-    gaps: tuple[int, ...]
 
-    def __init__(self, min_gens, frobenius, conductor, gaps, bits):
+    def __init__(self, min_gens: tuple[int, ...], w: np.ndarray):
+        w.setflags(write=False)
         object.__setattr__(self, "min_gens", min_gens)
-        object.__setattr__(self, "frobenius", frobenius)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "frobenius", int(w.max()) - min_gens[0])
+        object.__setattr__(self, "conductor", self.frobenius + 1)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("NumericalSemigroup is immutable")
@@ -101,24 +151,14 @@ class NumericalSemigroup:
             raise ValueError(f"generator {glist[-1]} exceeds the supported range 2**40")
         if math.gcd(*glist) != 1:
             raise GcdError(f"gcd of generators is {math.gcd(*glist)}, not 1")
-
         e = glist[0]
-        bound = max(2 * glist[-1] + 2, 2 * e + 2)
-        while True:
-            if bound > SIEVE_CEILING:
-                raise ValueError("generators too large for the dense membership sieve")
-            bits = _closure_bits(tuple(glist), bound)
-            conductor = _first_full_window(bits, e)
-            if conductor >= 0:
-                break
-            bound *= 2
-
-        frobenius = conductor - 1
-        gaps = tuple(int(x) for x in np.flatnonzero(~bits[:conductor]))
-        min_gens = tuple(g for g in glist if not _is_sum_of_two(bits, e, g))
-        table = bits[: conductor + 1].copy()
-        table.setflags(write=False)
-        return cls(min_gens, frobenius, conductor, gaps, table)
+        if e > MULTIPLICITY_LIMIT:
+            raise ValueError(f"multiplicity {e} exceeds the supported range 2**24")
+        if (e - 1) * glist[-1] > APERY_LIMIT:
+            raise ValueError(
+                f"Apery values up to (e - 1) * {glist[-1]} exceed the supported range 2**59"
+            )
+        return cls(*_round_robin(glist))
 
     # -- primitive queries -------------------------------------------------
 
@@ -132,28 +172,24 @@ class NumericalSemigroup:
 
     @property
     def genus(self) -> int:
-        return len(self.gaps)
+        """Selmer's formula: the class r mod e holds w[r] // e gaps."""
+        return int((self.w // self.multiplicity).sum())
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(~self.members_up_to(self.conductor)).tolist())
 
     def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x >= self.conductor:
-            return True
-        return bool(self._bits[x])
+        return bool(_members(self.w, x))
 
     __contains__ = contains
 
     def members_up_to(self, bound: int) -> np.ndarray:
         """Boolean membership table over [0, bound)."""
-        out = np.zeros(bound, dtype=bool)
-        head = min(bound, self.conductor + 1)
-        out[:head] = self._bits[:head]
-        if bound > self.conductor:
-            out[self.conductor :] = True
-        return out
+        return _members(self.w, np.arange(bound, dtype=np.int64))
 
     def elements_up_to(self, bound: int) -> list[int]:
-        return [int(x) for x in np.flatnonzero(self.members_up_to(bound))]
+        return np.flatnonzero(self.members_up_to(bound)).tolist()
 
     # -- value semantics ---------------------------------------------------
 
@@ -177,16 +213,6 @@ class NumericalSemigroup:
             "conductor": self.conductor,
             "genus": self.genus,
         }
-
-
-def _is_sum_of_two(bits: np.ndarray, e: int, x: int) -> bool:
-    """Whether x = a + b with both a, b nonzero members of the sieved set."""
-    lo, hi = e, x - e
-    if hi < lo:
-        return False
-    forward = bits[lo : hi + 1]
-    backward = bits[hi : lo - 1 : -1] if lo > 1 else bits[hi::-1][: hi - lo + 1]
-    return bool(np.any(forward & backward))
 
 
 def parse_generators(text: str) -> list[int]:

@@ -20,32 +20,24 @@ an independent route, and insists that the two agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import NotMember, NumericalSemigroup, SemigroupError
+from .core import NotMember, NumericalSemigroup, SemigroupError, _certify, _min_plus
 
 
 class NotStabilized(SemigroupError):
     """The Hilbert values were not computed through stabilization."""
 
 
-def _certify(ok: bool, message: str) -> None:
-    """Fail a documented cross-check; an explicit raise also fires under ``python -O``."""
-    if not ok:
-        raise AssertionError(message)
-
-
 # ---------------------------------------------------------------------------
 # Apery vectors of the powers kM (production route)
 # ---------------------------------------------------------------------------
 
-# Index cells per gather block: bounds the temporary of one block to 512 KiB.
-_GATHER_CELLS = 1 << 16
-
-
+@lru_cache(maxsize=64)
 def _apery_powers(S: NumericalSemigroup) -> np.ndarray:
-    """Rows W_0, ..., W_R with W_k = Ap(kM) with respect to e, 0M = S.
+    """Read-only rows W_0, ..., W_R with W_k = Ap(kM) with respect to e, 0M = S.
 
     kM meets the class r mod e in W_k[r] + eN, and (k+1)M = kM + G for the
     minimal generators G, so W_{k+1}[r] = min_g W_k[(r - g) mod e] + g.  R is
@@ -53,23 +45,13 @@ def _apery_powers(S: NumericalSemigroup) -> np.ndarray:
     kM = (k-1)M + e); from there on every row is the previous one plus e.
     """
     e = S.multiplicity
-    members = np.flatnonzero(S.members_up_to(S.conductor + e))
-    _, first = np.unique(members % e, return_index=True)
-    rows = [members[first]]
-    gens = np.asarray(S.min_gens, dtype=np.int64)
-    # W_k[(r - g) mod e] is entry r of the window of [W_k, W_k] that starts at e - (g mod e)
-    starts = e - gens % e
-    step = max(1, _GATHER_CELLS // e)
+    rows = [S.w]
     while True:
-        prev = rows[-1]
-        windows = np.lib.stride_tricks.sliding_window_view(np.tile(prev, 2), e)
-        nxt = np.full(e, np.iinfo(np.int64).max)
-        for lo in range(0, len(gens), step):
-            block = windows[starts[lo : lo + step]] + gens[lo : lo + step, None]
-            np.minimum(nxt, block.min(axis=0), out=nxt)
-        rows.append(nxt)
-        if np.array_equal(nxt, prev + e):
-            return np.stack(rows)
+        rows.append(_min_plus(rows[-1], S.min_gens))
+        if np.array_equal(rows[-1], rows[-2] + e):
+            W = np.stack(rows)
+            W.setflags(write=False)
+            return W
 
 
 def _orders(W: np.ndarray, e: int, s: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Relative ideals, pseudo-Frobenius numbers and the symmetry predicates.
 
 A relative ideal of a numerical semigroup S is a subset E of the integers
-with E + S contained in E and some translate of E inside S.  Such a set is
-bounded below and eventually everything belongs to it, so it is stored as a
-finite list of "small" elements plus a threshold past which all integers are
-members.  The threshold is always minimal, which makes equality structural
-and lets canonical-ideal testing be a single comparison after aligning
-minima.
+with E + S contained in E and some translate of E inside S.  Like S itself
+it is stored as its Apery vector ``w`` with respect to the multiplicity e of
+S (see :mod:`numsgps.core`): ``w[r]`` is the smallest member of E in the
+class r mod e.  Equality is equality of vectors; sums, shifts, minimal
+generators and the canonical ideal are vector operations, and the listing
+``small`` plus ``threshold`` (members below the first integer from which on
+everything belongs to E) is derived on demand.
 """
 
 from __future__ import annotations
@@ -17,110 +18,108 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import NumericalSemigroup
+from .core import APERY_LIMIT, NumericalSemigroup, _certify, _members, _min_plus
+
+
+def _check_range(*values) -> None:
+    """Keep ideal elements, shifts and their sums inside int64."""
+    if any(abs(int(v)) > APERY_LIMIT for v in values):
+        raise ValueError("ideal elements exceed the supported range 2**59")
 
 
 class RelativeIdeal:
-    """Immutable relative ideal over a fixed ambient numerical semigroup."""
+    """Immutable relative ideal over a fixed ambient numerical semigroup.
 
-    __slots__ = ("ambient", "small", "threshold", "_small_set")
+    ``RelativeIdeal(S, elements, threshold)`` is the set of the given
+    elements below ``threshold`` plus every integer from ``threshold`` on; it
+    raises ValueError unless that set is closed under adding S.
+    """
 
-    def __init__(self, ambient: NumericalSemigroup, elements: Iterable[int],
-                 threshold: int, _validate: bool = True):
-        small = sorted(set(int(x) for x in elements if x < threshold))
+    __slots__ = ("ambient", "w")
+
+    def __init__(self, ambient: NumericalSemigroup, elements: Iterable[int], threshold: int):
+        e = ambient.multiplicity
         threshold = int(threshold)
-        while small and small[-1] == threshold - 1:
-            small.pop()
-            threshold -= 1
+        _check_range(threshold)
+        given = np.fromiter(elements, dtype=np.int64)
+        small = np.unique(given[given < threshold])
+        w = threshold + (np.arange(e) - threshold) % e
+        np.minimum.at(w, small % e, small)
+        # closed under +e: in each class, every step from w[r] up to threshold
+        if len(small) != -((w - threshold) // e).sum():
+            raise ValueError(f"not an ideal: the set is not closed under adding {e}")
+        reached = _min_plus(w, ambient.min_gens)
+        escaped = reached[reached < w]
+        if len(escaped):
+            raise ValueError(f"not an ideal: {escaped.min()} is a member plus a generator "
+                             f"but not a member")
+        self._set(ambient, w)
+
+    @classmethod
+    def _of(cls, ambient: NumericalSemigroup, w: np.ndarray) -> "RelativeIdeal":
+        """The ideal with Apery vector ``w``, which must be closed under +S."""
+        self = object.__new__(cls)
+        self._set(ambient, w)
+        return self
+
+    def _set(self, ambient, w):
+        _check_range(w.min(), w.max())
+        w.setflags(write=False)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "small", tuple(small))
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "_small_set", frozenset(small))
-        if _validate:
-            self._check_closure()
+        object.__setattr__(self, "w", w)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("RelativeIdeal is immutable")
 
-    def _check_closure(self):
-        for x in self.small:
-            for g in self.ambient.min_gens:
-                if not self.contains(x + g):
-                    raise ValueError(f"not an ideal: {x} + {g} escapes the set")
-
     # -- queries -------------------------------------------------------------
 
     def contains(self, x: int) -> bool:
-        return x >= self.threshold or x in self._small_set
+        return bool(_members(self.w, x))
 
     __contains__ = contains
 
     @property
     def min_element(self) -> int:
-        return self.small[0] if self.small else self.threshold
+        return int(self.w.min())
 
-    def elements_below(self, bound: int) -> list[int]:
-        out = [x for x in self.small if x < bound]
-        out.extend(range(self.threshold, max(bound, self.threshold)))
-        return out
+    @property
+    def threshold(self) -> int:
+        """Smallest t with every integer from t on a member."""
+        return int(self.w.max()) - len(self.w) + 1
 
-    def bits_over(self, lo: int, hi: int) -> np.ndarray:
-        """Membership table for the integer window [lo, hi)."""
-        out = np.zeros(max(hi - lo, 0), dtype=bool)
-        for x in self.small:
-            if lo <= x < hi:
-                out[x - lo] = True
-        if hi > self.threshold:
-            out[max(self.threshold - lo, 0):] = True
-        return out
+    @property
+    def small(self) -> tuple[int, ...]:
+        """The members below ``threshold``, ascending."""
+        x = np.arange(self.min_element, self.threshold, dtype=np.int64)
+        return tuple(x[_members(self.w, x)].tolist())
 
     def is_proper(self) -> bool:
         """Whether the ideal is contained in its ambient semigroup."""
-        if self.min_element < 0:
-            return False
-        return all(self.ambient.contains(x) for x in self.small) and (
-            self.threshold >= self.ambient.conductor
-            or all(self.ambient.contains(x) for x in range(self.threshold, self.ambient.conductor))
-        )
+        return bool((self.w >= self.ambient.w).all())
 
     # -- arithmetic ----------------------------------------------------------
 
     def shift(self, z: int) -> "RelativeIdeal":
-        return RelativeIdeal(
-            self.ambient,
-            (x + z for x in self.small),
-            self.threshold + z,
-            _validate=False,
-        )
+        _check_range(z)
+        return RelativeIdeal._of(self.ambient, np.roll(self.w, z % len(self.w)) + z)
 
     def __add__(self, other: "RelativeIdeal") -> "RelativeIdeal":
         return ideal_sum(self, other)
 
     def minimal_generators(self) -> tuple[int, ...]:
         """E \\ (E + M): the unique minimal generating system of E over S."""
-        gens = self.ambient.min_gens
-        top = self.threshold + gens[-1]
-        lo = self.min_element - gens[-1]
-        table = self.bits_over(lo, top)
-        out = []
-        for x in self.elements_below(top):
-            if all(not table[x - g - lo] for g in gens):
-                out.append(x)
-        return tuple(out)
+        w = self.w
+        return tuple(np.sort(w[w < _min_plus(w, self.ambient.min_gens)]).tolist())
 
     # -- value semantics -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RelativeIdeal):
             return NotImplemented
-        return (
-            self.ambient == other.ambient
-            and self.small == other.small
-            and self.threshold == other.threshold
-        )
+        return self.ambient == other.ambient and np.array_equal(self.w, other.w)
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.small, self.threshold))
+        return hash((self.ambient, self.w.tobytes()))
 
     def __repr__(self) -> str:
         return f"RelativeIdeal(small={self.small}, threshold={self.threshold})"
@@ -134,63 +133,54 @@ def ideal_generated_by(S: NumericalSemigroup, gens: Iterable[int]) -> RelativeId
     glist = sorted(set(int(g) for g in gens))
     if not glist:
         raise ValueError("an ideal needs at least one generator")
-    top = glist[0] + S.conductor
-    elems = []
-    for g in glist:
-        width = top - g
-        if width > 0:
-            elems.extend(int(x) + g for x in np.flatnonzero(S.members_up_to(width)))
-    return RelativeIdeal(S, elems, top)
+    _check_range(glist[0], glist[-1])
+    return RelativeIdeal._of(S, _min_plus(S.w, glist))
 
 
 def semigroup_as_ideal(S: NumericalSemigroup) -> RelativeIdeal:
-    return RelativeIdeal(S, S.elements_up_to(S.conductor), S.conductor, _validate=False)
+    return RelativeIdeal._of(S, S.w)
 
 
 def maximal_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """M(S) = S \\ {0}."""
-    if S.conductor == 0:
-        return RelativeIdeal(S, (), 1, _validate=False)
-    elems = [x for x in S.elements_up_to(S.conductor) if x > 0]
-    return RelativeIdeal(S, elems, S.conductor, _validate=False)
+    w = S.w.copy()
+    w[0] = S.multiplicity
+    return RelativeIdeal._of(S, w)
 
 
 def ideal_sum(E: RelativeIdeal, F: RelativeIdeal) -> RelativeIdeal:
-    """{x + y : x in E, y in F}, normalized."""
+    """{x + y : x in E, y in F}: the union of the translates x + F over E's generators."""
     if E.ambient != F.ambient:
         raise ValueError("ideal sum requires a common ambient semigroup")
-    top = min(E.min_element + F.threshold, E.threshold + F.min_element)
-    base = E.min_element + F.min_element
-    bits = np.zeros(max(top - base, 0), dtype=bool)
-    f_bits = F.bits_over(F.min_element, top - E.min_element)
-    for x in E.elements_below(top - F.min_element):
-        lo = x + F.min_element - base
-        seg = f_bits[: len(bits) - lo]
-        bits[lo : lo + len(seg)] |= seg
-    elems = [int(i) + base for i in np.flatnonzero(bits)]
-    return RelativeIdeal(E.ambient, elems, top)
+    return RelativeIdeal._of(E.ambient, _min_plus(F.w, E.minimal_generators()))
 
 
 # ---------------------------------------------------------------------------
 # pseudo-Frobenius numbers, canonical ideals, symmetry
 # ---------------------------------------------------------------------------
 
+def _reflect(v: np.ndarray) -> np.ndarray:
+    """v[-r mod e] at r."""
+    return np.roll(v[::-1], 1)
+
+
 @lru_cache(maxsize=512)
 def pseudo_frobenius(S: NumericalSemigroup) -> tuple[int, ...]:
     """PF(S): integers x outside S with x + M inside S; |PF| is the type.
 
-    Testing x + g for the minimal generators g suffices since every element
+    Every PF number is the largest gap w[r] - e of its class r != 0, and
+    testing x + g for the minimal generators g suffices since every element
     of M is a generator plus a member.  The naturals themselves get the
     conventional PF = {-1}.
     """
     if S.conductor == 0:
         return (-1,)
-    gaps = np.asarray(S.gaps, dtype=np.int64)
-    table = S.members_up_to(S.conductor + S.min_gens[-1] + 1)
-    keep = np.ones(len(gaps), dtype=bool)
-    for g in S.min_gens:
-        keep &= table[gaps + g]
-    return tuple(int(x) for x in gaps[keep])
+    w, e = S.w, S.multiplicity
+    # above[r] = max_g w[(r + g) mod e] - g, a min-plus gather on the reflected vector
+    above = -_reflect(_min_plus(-_reflect(w), S.min_gens))
+    keep = w - e >= above
+    keep[0] = False
+    return tuple(np.sort(w[keep] - e).tolist())
 
 
 def semigroup_type(S: NumericalSemigroup) -> int:
@@ -199,12 +189,13 @@ def semigroup_type(S: NumericalSemigroup) -> int:
 
 @lru_cache(maxsize=512)
 def standard_canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
-    """K(S) = {x >= 0 : f(S) - x not in S}; sits between S and the naturals."""
-    f = S.frobenius
-    if f < 0:
-        return RelativeIdeal(S, (), 0, _validate=False)
-    elems = [f - g for g in S.gaps]
-    return RelativeIdeal(S, elems, f + 1, _validate=False)
+    """K(S) = {x >= 0 : f(S) - x not in S}; sits between S and the naturals.
+
+    x in the class r lies in K exactly when f - x < w[(f - r) mod e], which
+    gives the Apery vector f - w[(f - r) mod e] + e.
+    """
+    f, e = S.frobenius, S.multiplicity
+    return RelativeIdeal._of(S, f + e - S.w[(f - np.arange(e)) % e])
 
 
 def is_canonical_ideal(E: RelativeIdeal) -> bool:
@@ -216,7 +207,7 @@ def is_canonical_ideal(E: RelativeIdeal) -> bool:
 def is_symmetric(S: NumericalSemigroup) -> bool:
     """K(S) = S; checked against the equivalent condition type = 1."""
     sym = standard_canonical_ideal(S) == semigroup_as_ideal(S)
-    assert sym == (semigroup_type(S) == 1)
+    _certify(sym == (semigroup_type(S) == 1), "K(S) = S disagrees with type 1")
     return sym
 
 
@@ -245,8 +236,8 @@ def nari_partition(S: NumericalSemigroup) -> NariPartition:
     b = sorted(x + e for x in pf if x != f)
     a = sorted(set(apery_table(S).elements) - set(b))
     part = NariPartition(a=tuple(a), b=tuple(b))
-    assert len(part.b) == semigroup_type(S) - 1
-    assert part.a[-1] == f + e
+    _certify(len(part.b) == semigroup_type(S) - 1, "Nari part b does not have type - 1 elements")
+    _certify(part.a[-1] == f + e, "largest element of Nari part a is not f + e")
     return part
 
 

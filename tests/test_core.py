@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from numsgps import GcdError, NumericalSemigroup, parse_generators
+import numsgps.core
+from numsgps import GcdError, NumericalSemigroup, is_symmetric, parse_generators, pseudo_frobenius
 from numsgps.cli import main
+from numsgps.core import APERY_LIMIT, MULTIPLICITY_LIMIT
 
 from conftest import brute_members
 
@@ -125,3 +128,64 @@ def test_parse_generators_rejects_json_booleans(capsys):
         parse_generators("[true, 3]")
     assert main(["info", "[true, 3]"]) == 2
     assert "array of integers" in capsys.readouterr().err
+
+
+@given(st.lists(st.integers(min_value=2, max_value=20), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_apery_vector_matches_brute(gens):
+    assume(math.gcd(*gens) == 1)
+    S = NumericalSemigroup.from_generators(gens)
+    e, c = S.multiplicity, S.conductor
+    members = brute_members(gens, 2 * c + e + max(gens))
+    assert S.w.tolist() == [min(x for x in members if x % e == r) for r in range(e)]
+    assert not S.w.flags.writeable
+    low = [m for m in members if 0 < m <= max(gens)]
+    sums = {a + b for a in low for b in low}
+    assert S.min_gens == tuple(sorted(g for g in set(gens) if g not in sums))
+    gaps = [x for x in range(c) if x not in members]
+    assert S.gaps == tuple(gaps) and S.genus == len(gaps)
+    # x + m for m > c lies past the conductor anyway
+    nonzero = [m for m in members if 0 < m <= c]
+    pf = tuple(x for x in gaps if all(x + m in members for m in nonzero))
+    assert pseudo_frobenius(S) == (pf or (-1,))
+
+
+def _sylvester(p, q):
+    S = NumericalSemigroup.from_generators([p, q])
+    F = p * q - p - q
+    assert S.min_gens == (p, q)
+    assert S.frobenius == F and S.conductor == F + 1
+    assert 2 * S.genus == (p - 1) * (q - 1)
+    assert pseudo_frobenius(S) == (F,)
+    assert is_symmetric(S)
+
+
+@pytest.mark.parametrize("p,q", [(3, 2**40), (10007, 10009), (1000003, 1000033)])
+def test_two_large_generators(p, q):
+    _sylvester(p, q)
+
+
+def _rejected_before_allocating(gens, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            NumericalSemigroup.from_generators(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no 8e-byte vector was allocated
+
+
+def test_multiplicity_ceiling(monkeypatch):
+    _rejected_before_allocating([MULTIPLICITY_LIMIT + 1, MULTIPLICITY_LIMIT + 2], "multiplicity")
+    monkeypatch.setattr(numsgps.core, "MULTIPLICITY_LIMIT", 1000)
+    assert NumericalSemigroup.from_generators([1000, 1001]).multiplicity == 1000
+    with pytest.raises(ValueError, match="multiplicity"):
+        NumericalSemigroup.from_generators([1001, 1002])
+
+
+def test_apery_headroom_ceiling():
+    # (e - 1) * max(gens) is exactly the limit: works, and exact
+    assert (2**19) * 2**40 == APERY_LIMIT
+    _sylvester(2**19 + 1, 2**40)
+    _rejected_before_allocating([2**19 + 3, 2**40], "Apery values")

@@ -25,6 +25,7 @@ from numsgps import (
     layer_sets,
     order_table,
 )
+from numsgps.hilbert import _apery_powers
 
 from conftest import brute_hilbert, brute_members, brute_orders, random_semigroup
 
@@ -253,17 +254,54 @@ def test_hilbert_through_stabilization_matches_brute(gens):
     assert start == 0 or brute[start - 1] != e
 
 
-def test_cross_check_fires_under_python_O():
+def _exit_under_python_O(patch: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI under ``python -O`` after executing ``patch``."""
     script = (
         "import sys\n"
-        "import numsgps.hilbert\n"
+        "import numsgps.duplication, numsgps.hilbert\n"
         "from numsgps.cli import main\n"
-        "numsgps.hilbert.hilbert_by_set_construction = lambda S, h_max: [0] * (h_max + 1)\n"
-        "sys.exit(main(['hilbert', '4,6,7', '--hmax', '5']))\n"
+        f"{patch}\n"
+        f"sys.exit(main({argv!r}))\n"
     )
     src = str(Path(numsgps.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_cross_check_fires_under_python_O():
+    proc = _exit_under_python_O(
+        "numsgps.hilbert.hilbert_by_set_construction = lambda S, h_max: [0] * (h_max + 1)",
+        ["hilbert", "4,6,7", "--hmax", "5"],
+    )
     assert proc.returncode == 4, proc.stderr
     assert "Hilbert values disagree" in proc.stderr
+
+
+def test_witness_certificate_fires_under_python_O():
+    proc = _exit_under_python_O(
+        "numsgps.duplication.is_symmetric = lambda S: False",
+        ["witness", "--level", "4", "--drop", "1"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "witness output must be symmetric" in proc.stderr
+
+
+def test_apery_rows_cached_and_read_only(monkeypatch):
+    oracle_calls = []
+    oracle = numsgps.hilbert.hilbert_by_set_construction
+    monkeypatch.setattr(numsgps.hilbert, "hilbert_by_set_construction",
+                        lambda S, h_max: oracle_calls.append(h_max) or oracle(S, h_max))
+    S = NumericalSemigroup.from_generators([5, 7, 9, 11])
+    hilbert_through_stabilization(S, 4)
+    hits = _apery_powers.cache_info().hits
+    ap = apery_table(S)
+    assert _apery_powers.cache_info().hits == hits + 1
+    # the rows are shared, the oracle cross-check still runs on every Hilbert call
+    hilbert_through_stabilization(S, 4)
+    assert len(oracle_calls) == 2
+    assert ap == apery_table(NumericalSemigroup.from_generators([5, 7, 9, 11]))
+    W = _apery_powers(S)
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 0] = 1

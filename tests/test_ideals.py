@@ -21,9 +21,10 @@ from numsgps import (
     semigroup_type,
     standard_canonical_ideal,
 )
+from numsgps.cli import main
 from numsgps.ideals import RelativeIdeal
 
-from conftest import random_semigroup
+from conftest import brute_members, random_semigroup
 
 S23 = NumericalSemigroup.from_generators([2, 3])
 
@@ -117,6 +118,9 @@ def test_ideal_sum_assoc_comm(rng):
 def test_ideal_closure_validation():
     with pytest.raises(ValueError):
         RelativeIdeal(S23, [0, 1], 4)  # 1 + 3 = 4 fine but 1 + 2 = 3 < 4 missing
+    # closed under +7 and +8 but not under the multiplicity: 0 + 3 is missing
+    with pytest.raises(ValueError):
+        RelativeIdeal(NumericalSemigroup.from_generators([3, 7, 8]), [0, 7, 8], 10)
 
 
 def test_non_proper_ideals_are_first_class():
@@ -195,3 +199,67 @@ def test_canonical_shift_detection(gens, z):
     K = standard_canonical_ideal(S)
     assert is_canonical_ideal(K.shift(z))
     assert semigroup_type(S) == len(K.minimal_generators())
+
+
+def _brute_ideal(gens, ideal_gens, lo, hi):
+    """The union of the g + S over ``ideal_gens``, restricted to [lo, hi)."""
+    out = set()
+    for g in ideal_gens:
+        out |= {g + s for s in brute_members(gens, hi - g)}
+    return {x for x in out if lo <= x < hi}
+
+
+def _window(X, lo, hi):
+    return {x for x in range(lo, hi) if X.contains(x)}
+
+
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+       st.lists(st.integers(min_value=-10, max_value=25), min_size=1, max_size=3),
+       st.lists(st.integers(min_value=-10, max_value=25), min_size=1, max_size=3),
+       st.integers(min_value=-20, max_value=20))
+@settings(max_examples=60, deadline=None)
+def test_ideal_operations_match_brute(gens, a_gens, b_gens, z):
+    assume(math.gcd(*gens) == 1)
+    S = NumericalSemigroup.from_generators(gens)
+    e, c, f = S.multiplicity, S.conductor, S.frobenius
+    lo = min(min(a_gens) + min(b_gens), 0) - e - 25
+    hi = max(a_gens) + max(b_gens) + c + 2 * e + 25
+    members = brute_members(gens, hi + abs(lo))
+    E, F = ideal_generated_by(S, a_gens), ideal_generated_by(S, b_gens)
+    E_br, F_br = _brute_ideal(gens, a_gens, lo, hi), _brute_ideal(gens, b_gens, lo, hi)
+    assert _window(E, lo, hi) == E_br and _window(F, lo, hi) == F_br
+    assert set(E.small) | set(range(E.threshold, hi)) == E_br
+
+    # E + F is exact below top: every x + y < top has x, y inside the windows
+    top = hi + min(min(a_gens), min(b_gens))
+    G = ideal_sum(E, F)
+    sum_br = {x + y for x in E_br for y in F_br if x + y < top}
+    assert _window(G, lo, top) == sum_br
+    assert all(x + g in sum_br for x in sum_br for g in gens if x + g < top)
+    assert RelativeIdeal(S, G.small, G.threshold) == G
+
+    nonzero = [m for m in members if m > 0]
+    assert E.minimal_generators() == tuple(sorted(
+        x for x in E_br if not any(x - m in E_br for m in nonzero if x - m >= lo)))
+    assert _window(E.shift(z), lo + 20, hi - 20) == {x + z for x in E_br} & set(range(lo + 20, hi - 20))
+    assert E.is_proper() == all(x >= 0 and x in members for x in E_br)
+
+    K = standard_canonical_ideal(S)
+    K_br = {x for x in range(lo, hi) if f - x < 0 or f - x not in members}
+    assert _window(K, lo, hi) == K_br
+    assert K.is_proper() == all(x >= 0 and x in members for x in K_br)
+
+
+def test_ideal_values_outside_int64_headroom_rejected():
+    S = NumericalSemigroup.from_generators([4, 6, 7])
+    K = standard_canonical_ideal(S)
+    for z in (2**62, -2**62, 2**70):
+        with pytest.raises(ValueError, match="supported range"):
+            K.shift(z)
+        with pytest.raises(ValueError, match="supported range"):
+            ideal_generated_by(S, [0, z])
+    with pytest.raises(ValueError, match="supported range"):
+        RelativeIdeal(S, [0], 2**62)
+    with pytest.raises(ValueError, match="supported range"):
+        K.shift(2**59).shift(2**59)
+    assert main(["duplicate", "4,6,7", "--ideal", f"canonical+{2**63 - 1000}", "--b", "7"]) == 2
