@@ -81,14 +81,44 @@ def _min_plus(v: np.ndarray, shifts) -> np.ndarray:
     return out
 
 
+def _check_size(e: int, top: int) -> None:
+    """Reject a semigroup of multiplicity e and largest generator top before allocating."""
+    if top > GENERATOR_LIMIT:
+        raise ValueError(f"generator {top} exceeds the supported range 2**40")
+    if e > MULTIPLICITY_LIMIT:
+        raise ValueError(f"multiplicity {e} exceeds the supported range 2**24")
+    if (e - 1) * top > APERY_LIMIT:
+        raise ValueError(
+            f"Apery values up to (e - 1) * {top} exceed the supported range 2**59"
+        )
+
+
+def _relax(w: np.ndarray, g: int) -> None:
+    """Close the Apery vector ``w`` under +g in place.
+
+    Relaxes w[r + g] against w[r] + g along each cycle r -> r + g (mod e);
+    one prefix minimum over the cycle taken twice around passes every
+    start, including the cycle's minimum.
+    """
+    e = len(w)
+    d = math.gcd(g, e)
+    length = e // d
+    # row c < d walks c, c + g, c + 2g, ... (mod e) twice around its cycle
+    lap = np.arange(2 * length, dtype=np.int64)
+    index = lap * (g % e) % e + np.arange(d, dtype=np.int64)[:, None]
+    steps = lap * g
+    best = w[index] - steps
+    np.minimum.accumulate(best, axis=1, out=best)
+    best += steps
+    w[index[:, :length]] = np.minimum(best[:, :length], best[:, length:])
+
+
 def _round_robin(glist: list[int]) -> tuple[tuple[int, ...], np.ndarray]:
     """Minimal generators and Apery vector of the semigroup of sorted ``glist``.
 
-    Adds the generators in ascending order (Boecker-Liptak).  Adding g relaxes
-    w[r + g] against w[r] + g along each cycle r -> r + g (mod e); one prefix
-    minimum over the cycle taken twice around passes every start, including
-    the cycle's minimum.  g is redundant exactly when the generators before
-    it already reach it, i.e. w[g mod e] <= g.
+    Adds the generators in ascending order (Boecker-Liptak), closing the
+    vector under each in turn.  g is redundant exactly when the generators
+    before it already reach it, i.e. w[g mod e] <= g.
     """
     e = glist[0]
     w = np.full(e, _UNREACHED, dtype=np.int64)
@@ -98,16 +128,7 @@ def _round_robin(glist: list[int]) -> tuple[tuple[int, ...], np.ndarray]:
         if w[g % e] <= g:
             continue
         min_gens.append(g)
-        d = math.gcd(g, e)
-        length = e // d
-        # row c < d walks c, c + g, c + 2g, ... (mod e) twice around its cycle
-        lap = np.arange(2 * length, dtype=np.int64)
-        index = lap * (g % e) % e + np.arange(d, dtype=np.int64)[:, None]
-        steps = lap * g
-        best = w[index] - steps
-        np.minimum.accumulate(best, axis=1, out=best)
-        best += steps
-        w[index[:, :length]] = np.minimum(best[:, :length], best[:, length:])
+        _relax(w, g)
     return tuple(min_gens), w
 
 
@@ -147,17 +168,9 @@ class NumericalSemigroup:
             raise ValueError("at least one generator is required")
         if glist[0] <= 0:
             raise ValueError(f"generators must be positive, got {glist[0]}")
-        if glist[-1] > GENERATOR_LIMIT:
-            raise ValueError(f"generator {glist[-1]} exceeds the supported range 2**40")
+        _check_size(glist[0], glist[-1])
         if math.gcd(*glist) != 1:
             raise GcdError(f"gcd of generators is {math.gcd(*glist)}, not 1")
-        e = glist[0]
-        if e > MULTIPLICITY_LIMIT:
-            raise ValueError(f"multiplicity {e} exceeds the supported range 2**24")
-        if (e - 1) * glist[-1] > APERY_LIMIT:
-            raise ValueError(
-                f"Apery values up to (e - 1) * {glist[-1]} exceed the supported range 2**59"
-            )
         return cls(*_round_robin(glist))
 
     # -- primitive queries -------------------------------------------------

@@ -13,14 +13,17 @@ index R, the first k >= 1 with W_k = W_{k-1} + e, i.e. kM = (k-1)M + e.
 That identity propagates to every higher power, hence H(h) = e for all
 h >= R - 1, and ``stable_from`` is the start of that constant tail.
 
-Each Hilbert call also builds the ideal powers hM directly as bit tables,
-an independent route, and insists that the two agree.
+Each Hilbert call also builds the ideal powers hM over a window as
+integer bitsets, shifted by each generator in turn, and insists that the
+H(h) = |hM \\ (h+1)M| counted there agree with the rows.  That route never
+looks at the rows, so agreement is a genuine cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -35,82 +38,102 @@ class NotStabilized(SemigroupError):
 # Apery vectors of the powers kM (production route)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _apery_powers(S: NumericalSemigroup) -> np.ndarray:
-    """Read-only rows W_0, ..., W_R with W_k = Ap(kM) with respect to e, 0M = S.
+def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
+    """Yield the rows W_0, ..., W_R with W_k = Ap(kM) with respect to e, 0M = S.
 
     kM meets the class r mod e in W_k[r] + eN, and (k+1)M = kM + G for the
     minimal generators G, so W_{k+1}[r] = min_g W_k[(r - g) mod e] + g.  R is
     the reduction index, the first k >= 1 with W_k = W_{k-1} + e (that is,
     kM = (k-1)M + e); from there on every row is the previous one plus e.
+    Rows are produced one at a time, so memory stays O(e) for any R.
     """
     e = S.multiplicity
-    rows = [S.w]
+    row = S.w
+    yield row
     while True:
-        rows.append(_min_plus(rows[-1], S.min_gens))
-        if np.array_equal(rows[-1], rows[-2] + e):
-            W = np.stack(rows)
-            W.setflags(write=False)
-            return W
+        nxt = _min_plus(row, S.min_gens)
+        yield nxt
+        if np.array_equal(nxt, row + e):
+            return
+        row = nxt
 
 
-def _orders(W: np.ndarray, e: int, s: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _apery_summary(S: NumericalSemigroup) -> tuple[tuple[int, ...], np.ndarray]:
+    """What one walk over the rows leaves behind: H(0..R-1) and the Apery orders.
+
+    H(k) = sum(W_{k+1} - W_k) / e, and the Apery element W_0[r] has order
+    #{k >= 1 : W_k[r] = W_0[r]}; the orders come back read-only.
+    """
+    e = S.multiplicity
+    rows = _rows(S)
+    prev = next(rows)
+    counts = []
+    apery_orders = np.zeros(e, dtype=np.int64)
+    for row in rows:
+        counts.append(int((row - prev).sum()) // e)
+        apery_orders += row == S.w
+        prev = row
+    apery_orders.setflags(write=False)
+    return tuple(counts), apery_orders
+
+
+def _orders(S: NumericalSemigroup, s: np.ndarray) -> np.ndarray:
     """ord(s) = #{k >= 1 : s >= W_k[s mod e]} elementwise; -1 off S.
 
     Rows past W_R grow by e per level, so the levels k > R add
     max(0, (s - W_R[s mod e]) // e).
     """
+    e = S.multiplicity
     r = s % e
-    orders = np.where(s >= W[0][r], 0, -1)
-    for row in W[1:]:
+    orders = np.where(s >= S.w[r], 0, -1)
+    rows = _rows(S)
+    next(rows)
+    for row in rows:
         orders += s >= row[r]
-    return orders + np.maximum((s - W[-1][r]) // e, 0)
+    return orders + np.maximum((s - row[r]) // e, 0)
 
 
 def order_table(S: NumericalSemigroup, bound: int) -> np.ndarray:
     """ord(s) for every s in [0, bound); -1 marks non-members."""
-    return _orders(_apery_powers(S), S.multiplicity, np.arange(bound, dtype=np.int64))
+    return _orders(S, np.arange(bound, dtype=np.int64))
 
 
 def element_order(S: NumericalSemigroup, s: int) -> int:
     """Largest number of nonzero summands expressing s; ord(0) = 0."""
     if not S.contains(s):
         raise NotMember(f"{s} is not an element of {S!r}")
-    return int(_orders(_apery_powers(S), S.multiplicity, np.array([s], dtype=np.int64))[0])
+    return int(_orders(S, np.array([s], dtype=np.int64))[0])
 
 
 # ---------------------------------------------------------------------------
-# ideal powers as bit tables (oracle route)
+# ideal powers as bitsets (oracle route)
 # ---------------------------------------------------------------------------
-
-def power_bitsets(S: NumericalSemigroup, bound: int, max_level: int) -> list[np.ndarray]:
-    """Tables of kM over [0, bound) for k = 0..max_level, with 0M = S.
-
-    Uses (k+1)M = kM + G for the minimal generating set G, which holds
-    because M = G + S and kM is an ideal.
-    """
-    current = S.members_up_to(bound)
-    levels = [current]
-    for _ in range(max_level):
-        nxt = np.zeros(bound, dtype=bool)
-        for g in S.min_gens:
-            if g < bound:
-                np.logical_or(nxt[g:], current[:-g], out=nxt[g:])
-        levels.append(nxt)
-        current = nxt
-        if not nxt.any():
-            break
-    while len(levels) <= max_level:
-        levels.append(np.zeros(bound, dtype=bool))
-    return levels
-
 
 def hilbert_by_set_construction(S: NumericalSemigroup, h_max: int) -> list[int]:
-    """H(0..h_max) via |hM \\ (h+1)M| on explicitly built ideal powers."""
-    bound = S.conductor + (h_max + 2) * S.multiplicity
-    bound = max(bound, 2 * S.multiplicity + 2)
-    levels = power_bitsets(S, bound, h_max + 1)
-    return [int(np.count_nonzero(levels[h] & ~levels[h + 1])) for h in range(h_max + 1)]
+    """H(0..h_max) via |hM \\ (h+1)M| on explicitly built ideal powers.
+
+    Each power kM over the window [0, bound) is one Python integer whose bit
+    x is set for the members x, starting from 0M = S; (k+1)M = kM + G for the
+    minimal generators G, since M = G + S and kM is an ideal.
+    """
+    e = S.multiplicity
+    bound = max(S.conductor + (h_max + 2) * e, 2 * e + 2)
+    table = np.zeros(bound, dtype=bool)
+    for a in S.w.tolist():
+        table[a::e] = True
+    level = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
+    del table  # a byte per bit; the loop below needs only the bitsets
+    mask = (1 << bound) - 1
+    values = []
+    for _ in range(h_max + 1):
+        nxt = 0
+        for g in S.min_gens:
+            nxt |= level << g
+        nxt &= mask
+        values.append((level & ~nxt).bit_count())
+        level = nxt
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +181,7 @@ def _hilbert_counts(S: NumericalSemigroup) -> tuple[list[int], int]:
     The reduction RM = (R-1)M + e gives H(h) = e for every h >= R - 1.
     """
     e = S.multiplicity
-    W = _apery_powers(S)
-    counts = ((W[1:] - W[:-1]).sum(axis=1) // e).tolist()
+    counts = list(_apery_summary(S)[0])
     start = len(counts) - 1
     while start > 0 and counts[start - 1] == e:
         start -= 1
@@ -233,9 +255,8 @@ def apery_table(S: NumericalSemigroup) -> AperyTable:
 
     An Apery element a = W_0[r] lies in kM exactly when W_k[r] = W_0[r].
     """
-    W = _apery_powers(S)
-    apery_orders = (W[1:] == W[0]).sum(axis=0)
-    orders = {int(a): int(o) for a, o in sorted(zip(W[0], apery_orders))}
+    apery_orders = _apery_summary(S)[1]
+    orders = {int(a): int(o) for a, o in sorted(zip(S.w, apery_orders))}
     elements = tuple(orders)
 
     grouped: dict[int, list[int]] = {}

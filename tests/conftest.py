@@ -9,10 +9,15 @@ with the library is a genuine two-route check.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import numsgps
 from numsgps import NumericalSemigroup
 
 
@@ -81,6 +86,26 @@ def random_semigroup(rng: random.Random, max_mult: int = 9, genus_cap: int | Non
             continue
         return S
     raise AssertionError("could not sample a random semigroup")
+
+
+def run_script(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout of numsgps."""
+    src = str(Path(numsgps.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _exit_under_python_O(patch: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI under ``python -O`` after executing ``patch``."""
+    script = (
+        "import sys\n"
+        "import numsgps.duplication, numsgps.hilbert\n"
+        "from numsgps.cli import main\n"
+        f"{patch}\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    return run_script(script, "-O")
 
 
 @pytest.fixture

@@ -1,5 +1,11 @@
-import pytest
+import sys
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import numsgps.core
 from numsgps import (
     BNotInS,
     EvenB,
@@ -27,7 +33,9 @@ from numsgps import (
     standard_canonical_ideal,
 )
 
-from conftest import random_semigroup
+from numsgps.duplication import _certify_generators
+
+from conftest import _exit_under_python_O, random_semigroup
 
 EXPECTED_53 = (64, 66, 76, 138, 144, 146, 148, 150, 154, 156, 158, 160, 162, 164,
                166, 168, 170, 172, 174, 176, 178, 180, 182, 184, 186, 188, 190,
@@ -279,3 +287,90 @@ def test_witness_report_json():
     rich = report.to_json(include_generators=True)
     assert rich["final"]["min_gens"] == list(report.final.min_gens)
     assert all("min_gens" in step for step in rich["chain"])
+
+
+def _sums_escape(S, E, b) -> bool:
+    """Whether some x + y + b with x, y in E lies outside S, on a window."""
+    low, c = E.min_element, S.conductor
+    # x + y + b >= c lands in S, so x and y below c - b - low suffice
+    members = [x for x in range(low, c - b - low + 1) if E.contains(x)]
+    return any(x + y + b < c and not S.contains(x + y + b) for x in members for y in members)
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(["maximal", "canonical", "generated"]))
+@settings(max_examples=120, deadline=None)
+def test_closed_form_matches_generator_rebuild(rnd, kind):
+    S = random_semigroup(rnd, max_mult=10)
+    e = S.multiplicity
+    if kind == "maximal":
+        E = maximal_ideal(S)
+    elif kind == "canonical":
+        E = standard_canonical_ideal(S).shift(rnd.randint(-3, S.frobenius + 3))
+    else:
+        E = ideal_generated_by(S, [rnd.randint(-6, 3 * e) for _ in range(rnd.randint(1, 4))])
+    b = rnd.choice([x for x in S.elements_up_to(S.conductor + 2 * e) if x % 2])
+    if _sums_escape(S, E, b):
+        with pytest.raises(IdealSumViolation):
+            numerical_duplication(S, E, b)
+        return
+    T = numerical_duplication(S, E, b)
+    R = NumericalSemigroup.from_generators(
+        [2 * n for n in S.min_gens] + [2 * x + b for x in E.minimal_generators()]
+    )
+    assert T.min_gens == R.min_gens
+    assert np.array_equal(T.w, R.w)
+
+
+def test_witness_builds_no_duplication_from_generators(monkeypatch):
+    build = NumericalSemigroup.from_generators.__func__
+
+    def guarded(cls, gens):
+        if sys._getframe(1).f_globals["__name__"] == "numsgps.duplication":
+            raise RuntimeError("duplication rebuilt from generators")
+        return build(cls, gens)
+
+    monkeypatch.setattr(NumericalSemigroup, "from_generators", classmethod(guarded))
+    report = gorenstein_witness(4, 3)
+    assert report.achieved_drop > 3
+    assert len(report.chain) == 3
+
+
+def test_certificate_rejects_a_dropped_generator():
+    S = construct_asd(4).semigroup
+    T = numerical_duplication(S, standard_canonical_ideal(S).shift(101), 33)
+    _certify_generators(T.min_gens, T.w)
+    for drop in (0, 1, len(T.min_gens) - 1):
+        G = T.min_gens[:drop] + T.min_gens[drop + 1:]
+        with pytest.raises(AssertionError, match="do not generate"):
+            _certify_generators(G, T.w)
+    with pytest.raises(AssertionError, match="sum of two others"):
+        _certify_generators(T.min_gens + (2 * T.min_gens[0],), T.w)
+
+
+def test_certificate_fires_under_python_O():
+    proc = _exit_under_python_O(
+        "check = numsgps.duplication._certify_generators\n"
+        "numsgps.duplication._certify_generators = lambda G, w: check(G[:-1], w)",
+        ["duplicate", "@ex2_10_l4", "--ideal", "canonical+101", "--b", "33"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "do not generate" in proc.stderr
+
+
+def test_duplication_size_guards(monkeypatch):
+    S = NumericalSemigroup.from_generators([2, 3])
+    E = maximal_ideal(S)
+    # the duplication is <4, 6, 7, 9>: multiplicity 4, Apery values up to 3 * 9
+    monkeypatch.setattr(numsgps.core, "MULTIPLICITY_LIMIT", 4)
+    monkeypatch.setattr(numsgps.core, "APERY_LIMIT", 27)
+    assert numerical_duplication(S, E, 3).min_gens == (4, 6, 7, 9)
+    monkeypatch.setattr(numsgps.core, "MULTIPLICITY_LIMIT", 3)
+    with pytest.raises(ValueError, match="multiplicity 4 exceeds"):
+        numerical_duplication(S, E, 3)
+    monkeypatch.setattr(numsgps.core, "MULTIPLICITY_LIMIT", 4)
+    monkeypatch.setattr(numsgps.core, "APERY_LIMIT", 26)
+    with pytest.raises(ValueError, match="Apery values"):
+        numerical_duplication(S, E, 3)
+    monkeypatch.setattr(numsgps.core, "APERY_LIMIT", 1 << 59)
+    with pytest.raises(ValueError, match="exceeds the supported range 2\\*\\*40"):
+        numerical_duplication(S, E, 2**40 + 1)

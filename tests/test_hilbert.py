@@ -1,8 +1,5 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import textwrap
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,9 +22,16 @@ from numsgps import (
     layer_sets,
     order_table,
 )
-from numsgps.hilbert import _apery_powers
+from numsgps.hilbert import _apery_summary
 
-from conftest import brute_hilbert, brute_members, brute_orders, random_semigroup
+from conftest import (
+    _exit_under_python_O,
+    brute_hilbert,
+    brute_members,
+    brute_orders,
+    random_semigroup,
+    run_script,
+)
 
 
 def semigroup_gens(max_gen: int = 20):
@@ -254,19 +258,29 @@ def test_hilbert_through_stabilization_matches_brute(gens):
     assert start == 0 or brute[start - 1] != e
 
 
-def _exit_under_python_O(patch: str, argv: list[str]) -> subprocess.CompletedProcess:
-    """Run the CLI under ``python -O`` after executing ``patch``."""
-    script = (
-        "import sys\n"
-        "import numsgps.duplication, numsgps.hilbert\n"
-        "from numsgps.cli import main\n"
-        f"{patch}\n"
-        f"sys.exit(main({argv!r}))\n"
-    )
-    src = str(Path(numsgps.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+@given(semigroup_gens(max_gen=12))
+@settings(max_examples=30, deadline=None)
+def test_set_construction_oracle_matches_brute(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    brute = brute_hilbert(S.min_gens, 8)
+    # H is constant from h = 8 on for about 95% of these semigroups
+    for h_max in range(9):
+        assert hilbert_by_set_construction(S, h_max) == brute[: h_max + 1]
+
+
+def test_two_large_generators_hilbert_in_bounded_memory():
+    # <10007, 10009> has about 10^4 Apery rows of 10^4 entries each: 800 MB if stacked
+    proc = run_script(textwrap.dedent("""
+        import os, resource
+        # one BLAS thread: a thread pool reserves address space of its own
+        os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from numsgps import NumericalSemigroup, hilbert_function
+        S = NumericalSemigroup.from_generators([10007, 10009])
+        print(hilbert_function(S, 3).values)
+    """))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(1, 2, 3, 4)"
 
 
 def test_cross_check_fires_under_python_O():
@@ -294,14 +308,15 @@ def test_apery_rows_cached_and_read_only(monkeypatch):
                         lambda S, h_max: oracle_calls.append(h_max) or oracle(S, h_max))
     S = NumericalSemigroup.from_generators([5, 7, 9, 11])
     hilbert_through_stabilization(S, 4)
-    hits = _apery_powers.cache_info().hits
+    hits = _apery_summary.cache_info().hits
     ap = apery_table(S)
-    assert _apery_powers.cache_info().hits == hits + 1
-    # the rows are shared, the oracle cross-check still runs on every Hilbert call
+    assert _apery_summary.cache_info().hits == hits + 1
+    # the summary is shared, the oracle cross-check still runs on every Hilbert call
     hilbert_through_stabilization(S, 4)
     assert len(oracle_calls) == 2
     assert ap == apery_table(NumericalSemigroup.from_generators([5, 7, 9, 11]))
-    W = _apery_powers(S)
-    assert not W.flags.writeable
+    counts, apery_orders = _apery_summary(S)
+    assert isinstance(counts, tuple)
+    assert not apery_orders.flags.writeable
     with pytest.raises(ValueError):
-        W[0, 0] = 1
+        apery_orders[0] = 1
