@@ -76,7 +76,8 @@ def _min_plus(v: np.ndarray, shifts) -> np.ndarray:
     step = max(1, _GATHER_CELLS // e)
     out = np.full(e, np.iinfo(np.int64).max)
     for lo in range(0, len(shifts), step):
-        block = windows[starts[lo : lo + step]] + shifts[lo : lo + step, None]
+        block = windows[starts[lo : lo + step]]
+        block += shifts[lo : lo + step, None]  # in place: one block-sized temporary, not two
         np.minimum(out, block.min(axis=0), out=out)
     return out
 

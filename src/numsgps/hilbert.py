@@ -3,9 +3,11 @@
 The Hilbert function counts H(h) = |hM \\ (h+1)M| where M is the maximal
 ideal S \\ {0}.  Everything is read off the Apery vectors W_k = Ap(kM) with
 respect to the multiplicity e: W_k[r] is the smallest member of kM in the
-class r mod e, so kM is described exactly by e integers per level.  The
-rows follow W_{k+1}[r] = min_g W_k[(r - g) mod e] + g over the minimal
-generators g, and give H(k) = sum(W_{k+1} - W_k) / e, the orders
+class r mod e, so kM is described exactly by e integers per level.  Between
+levels each entry either stays or rises by e, and only the classes that
+stayed put at the last level can keep another class in place, so each row
+costs O(e) plus one gather over that frontier times the generators.  The
+rows give H(k) = sum(W_{k+1} - W_k) / e, the orders
 ord(s) = #{k >= 1 : s >= W_k[s mod e]} and the Apery strata.
 
 Stabilization is certified, not guessed: the rows stop at the reduction
@@ -27,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import NotMember, NumericalSemigroup, SemigroupError, _certify, _min_plus
+from .core import _GATHER_CELLS, NotMember, NumericalSemigroup, SemigroupError, _certify
 
 
 class NotStabilized(SemigroupError):
@@ -41,20 +43,49 @@ class NotStabilized(SemigroupError):
 def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
     """Yield the rows W_0, ..., W_R with W_k = Ap(kM) with respect to e, 0M = S.
 
-    kM meets the class r mod e in W_k[r] + eN, and (k+1)M = kM + G for the
-    minimal generators G, so W_{k+1}[r] = min_g W_k[(r - g) mod e] + g.  R is
-    the reduction index, the first k >= 1 with W_k = W_{k-1} + e (that is,
-    kM = (k-1)M + e); from there on every row is the previous one plus e.
-    Rows are produced one at a time, so memory stays O(e) for any R.
+    (k+1)M lies in kM and contains kM + e, and both entries share a class,
+    so W_{k+1}[r] is W_k[r] or W_k[r] + e.  It is W_k[r] exactly when some
+    class s and minimal generator g with s + g = r (mod e) have
+    W_k[s] + g = W_k[r], since (k+1)M = kM + G and kM + g lies in kM.  If
+    W_k[s] = W_{k-1}[s] + e, then W_k[s] + g >= W_k[r] + e, as (k-1)M + g
+    lies in kM; so only the frontier Z_k = {s : W_k[s] = W_{k-1}[s]} can
+    keep a class, and g = e never does.  W_1 = Ap(M) is W_0 with W_1[0] = e,
+    so Z_1 = {r != 0}.  Each level thus costs O(e) plus |Z_k| (nu - 1)
+    gathered cells.  R is the reduction index, the first k >= 1 with Z_k
+    empty, that is W_k = W_{k-1} + e (kM = (k-1)M + e); from there on every
+    row is the previous one plus e.  Rows are produced one at a time, so
+    memory stays O(e) for any R.
     """
     e = S.multiplicity
+    shifts = np.array(S.min_gens[1:], dtype=np.int64)
+    steps = shifts % e
+    block = max(1, _GATHER_CELLS // max(1, len(shifts)))
+    # one set of block buffers for the whole walk: fresh block-sized
+    # temporaries go back to the OS and fault in again on every block
+    target = np.empty((block, len(shifts)), dtype=np.int64)
+    reached = np.empty_like(target)
+    stays = np.empty(target.shape, dtype=bool)
     row = S.w
     yield row
-    while True:
-        nxt = _min_plus(row, S.min_gens)
+    row = row.copy()
+    row[0] = e
+    yield row
+    frontier = np.flatnonzero(row == S.w)
+    while len(frontier):
+        nxt = row + e
+        twice = np.concatenate([row, row])  # twice[s + (g mod e)] = row[(s + g) mod e]
+        for lo in range(0, len(frontier), block):
+            s = frontier[lo : lo + block, None]
+            r = np.add(s, steps, out=target[: len(s)])
+            # r < 2e, so clipping never moves an index; it spares take() a buffer
+            gap = np.take(twice, r, out=reached[: len(s)], mode="clip")
+            gap -= shifts
+            kept = r[np.equal(gap, row[s], out=stays[: len(s)])]
+            kept[kept >= e] -= e
+            # a class may be kept from several blocks: assign, never subtract e
+            nxt[kept] = row[kept]
         yield nxt
-        if np.array_equal(nxt, row + e):
-            return
+        frontier = np.flatnonzero(nxt == row)
         row = nxt
 
 

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's numpy tables.  Membership
 is a breadth-first closure over plain sets, Hilbert values come from literal
 sumsets of Python sets, and orders from a dictionary DP, so that agreement
-with the library is a genuine two-route check.
+with the library is a genuine two-route check.  ``dense_apery_rows`` is the
+exception: it keeps the dense min-plus recurrence for the Apery rows as the
+reference that the frontier walk in ``numsgps.hilbert`` is compared against.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import numsgps
 from numsgps import NumericalSemigroup
+from numsgps.core import _min_plus
 
 
 def brute_members(gens, bound: int) -> set[int]:
@@ -71,6 +75,19 @@ def brute_orders(gens, bound: int) -> dict[int, int]:
     for s in members[1:]:
         orders[s] = 1 + max(orders[s - g] for g in gens if s - g in orders)
     return orders
+
+
+def dense_apery_rows(S: NumericalSemigroup) -> list[np.ndarray]:
+    """W_0, ..., W_R by W_{k+1}[r] = min_g W_k[(r - g) mod e] + g over all e classes.
+
+    Stops at the first k >= 1 with W_k = W_{k-1} + e, the reduction index.
+    """
+    e = S.multiplicity
+    rows = [S.w]
+    while True:
+        rows.append(_min_plus(rows[-1], S.min_gens))
+        if np.array_equal(rows[-1], rows[-2] + e):
+            return rows
 
 
 def random_semigroup(rng: random.Random, max_mult: int = 9, genus_cap: int | None = None,

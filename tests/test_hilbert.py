@@ -1,8 +1,10 @@
 import math
+import random
 import textwrap
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numsgps
@@ -22,13 +24,14 @@ from numsgps import (
     layer_sets,
     order_table,
 )
-from numsgps.hilbert import _apery_summary
+from numsgps.hilbert import _apery_summary, _rows
 
 from conftest import (
     _exit_under_python_O,
     brute_hilbert,
     brute_members,
     brute_orders,
+    dense_apery_rows,
     random_semigroup,
     run_script,
 )
@@ -266,6 +269,44 @@ def test_set_construction_oracle_matches_brute(gens):
     # H is constant from h = 8 on for about 95% of these semigroups
     for h_max in range(9):
         assert hilbert_by_set_construction(S, h_max) == brute[: h_max + 1]
+
+
+def _assert_rows_match_dense(S):
+    e = S.multiplicity
+    rows = list(_rows(S))
+    want = dense_apery_rows(S)
+    assert len(rows) == len(want)
+    for got, ref in zip(rows, want):
+        assert np.array_equal(got, ref)
+    for lo, hi in zip(rows, rows[1:]):
+        assert (lo <= hi).all() and (hi <= lo + e).all()
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from([5, 9, 20, 40]))
+@example(None, 1)
+@example(None, 2)
+@example(None, 31)
+@example(None, 101)
+@example(None, 1009)
+@settings(max_examples=60, deadline=None)
+def test_apery_rows_match_dense_recurrence(seed, mult):
+    # seed None: the two-generator semigroup <mult, mult + 1> (<1> for mult 1)
+    if seed is None:
+        S = NumericalSemigroup.from_generators([mult, mult + 1])
+    else:
+        S = random_semigroup(random.Random(seed), max_mult=mult)
+    _assert_rows_match_dense(S)
+
+
+def test_apery_rows_across_gather_blocks(rng, monkeypatch):
+    # a few cells per block: each level spans many blocks, and a class kept
+    # from two frontier classes is kept from two different blocks
+    monkeypatch.setattr(numsgps.hilbert, "_GATHER_CELLS", 3)
+    cases = [NumericalSemigroup.from_generators(g) for g in ([1], [2, 3], [5, 7, 9, 11])]
+    cases += [construct_asd(4).semigroup]
+    cases += [random_semigroup(rng, max_mult=12) for _ in range(80)]
+    for S in cases:
+        _assert_rows_match_dense(S)
 
 
 def test_two_large_generators_hilbert_in_bounded_memory():
