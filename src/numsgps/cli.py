@@ -154,14 +154,15 @@ def cmd_duplicate(args) -> int:
     S = _resolve_semigroup(args.gens)
     E = _resolve_ideal(S, args.ideal)
     T = numerical_duplication(S, E, args.b)
+    # the ideal's listing can be conductor-sized: build it only for --json, before the Hilbert work
+    payload = {"ideal": E.to_json()} if args.json else {}
     H = (
         hilbert_function(T, args.hmax)
         if args.hmax
         else hilbert_through_stabilization(T, 6)
     )
-    payload = {
+    payload |= {
         **T.to_json(),
-        "ideal": E.to_json(),
         "b": args.b,
         "hilbert": H.to_json(),
         "symmetric": is_symmetric(T),

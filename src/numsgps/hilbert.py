@@ -328,32 +328,41 @@ class LayerSets:
 
 
 def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
-    """Explicit C_k, D_k and D_k^t for 2 <= k <= k_max."""
+    """Explicit C_k, D_k and D_k^t for 2 <= k <= k_max, in O(e k_max) memory.
+
+    Read off the grid W_0[r] + j e, j = 0..k_max: W_0[r] lies in S and adding
+    e raises the order by at least one, so ord(W_0[r] + j e) >= j and every
+    member of order <= k_max (each C_k element, each D_k element and its
+    s + e) is on the grid.  s - e and s + e are the neighbouring columns;
+    column 0 has s - e outside S, and the last column's s + e is never read.
+    """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     e = S.multiplicity
-    bound = S.conductor + (k_max + 2) * e
-    orders = order_table(S, bound)
-    below = np.full(bound, -1)  # ord(s - e); -1 where s - e < 0
-    below[e:] = orders[:-e]
-    above = np.full(bound, -1)  # ord(s + e); -1 past the table
-    above[:-e] = orders[e:]
+    grid = S.w[:, None] + e * np.arange(k_max + 1)
+    orders = _orders(S, grid)
+    below = np.full_like(orders, -1)  # ord(s - e); -1 where s - e is not in S
+    below[:, 1:] = orders[:, :-1]
+    above = np.full_like(orders, -1)  # ord(s + e); -1 past the grid
+    above[:, :-1] = orders[:, 1:]
 
     c_sets: dict[int, tuple[int, ...]] = {}
     d_sets: dict[int, tuple[int, ...]] = {}
     d_refined: dict[int, dict[int, tuple[int, ...]]] = {}
     for k in range(2, k_max + 1):
-        c_sets[k] = tuple(np.flatnonzero((orders == k) & (below < k - 1)).tolist())
-        d_elems = np.flatnonzero((orders == k - 1) & (above > k))
+        c_sets[k] = tuple(np.sort(grid[(orders == k) & (below < k - 1)]).tolist())
+        d_mask = (orders == k - 1) & (above > k)
+        d_elems, landing = grid[d_mask], above[d_mask]
+        ascending = np.argsort(d_elems)
+        d_elems, landing = d_elems[ascending], landing[ascending]
         d_sets[k] = tuple(d_elems.tolist())
-        landing = above[d_elems]
         d_refined[k] = {int(t): tuple(d_elems[landing == t].tolist()) for t in np.unique(landing)}
 
-    _assert_layer_identities(S, orders, c_sets, d_refined, k_max)
+    _assert_layer_identities(S, c_sets, d_refined, k_max)
     return LayerSets(c_sets=c_sets, d_sets=d_sets, d_refined=d_refined)
 
 
-def _assert_layer_identities(S, orders, c_sets, d_refined, k_max):
+def _assert_layer_identities(S, c_sets, d_refined, k_max):
     """C_k must equal Ap_k plus the shifted D_h^k layers, disjointly."""
     e = S.multiplicity
     apery = apery_table(S)

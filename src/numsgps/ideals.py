@@ -27,6 +27,15 @@ def _check_range(*values) -> None:
         raise ValueError("ideal elements exceed the supported range 2**59")
 
 
+# Members below the threshold that ``small`` (and so ``to_json``) will list.
+LISTING_LIMIT = 1 << 22
+
+
+def _below(w: np.ndarray, threshold: int) -> np.ndarray:
+    """Per class, how many members of the set with Apery vector ``w`` lie below ``threshold``."""
+    return -((w - threshold) // len(w))
+
+
 class RelativeIdeal:
     """Immutable relative ideal over a fixed ambient numerical semigroup.
 
@@ -46,7 +55,7 @@ class RelativeIdeal:
         w = threshold + (np.arange(e) - threshold) % e
         np.minimum.at(w, small % e, small)
         # closed under +e: in each class, every step from w[r] up to threshold
-        if len(small) != -((w - threshold) // e).sum():
+        if len(small) != _below(w, threshold).sum():
             raise ValueError(f"not an ideal: the set is not closed under adding {e}")
         reached = _min_plus(w, ambient.min_gens)
         escaped = reached[reached < w]
@@ -89,9 +98,16 @@ class RelativeIdeal:
 
     @property
     def small(self) -> tuple[int, ...]:
-        """The members below ``threshold``, ascending."""
-        x = np.arange(self.min_element, self.threshold, dtype=np.int64)
-        return tuple(x[_members(self.w, x)].tolist())
+        """The members below ``threshold``, ascending; ValueError past LISTING_LIMIT.
+
+        Built class by class (w[r], w[r] + e, ...) in O(size + e) memory.
+        """
+        counts = _below(self.w, self.threshold)
+        size = int(counts.sum())
+        if size > LISTING_LIMIT:
+            raise ValueError(f"ideal listing of {size} elements exceeds the supported size 2**22")
+        steps = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return tuple(np.sort(np.repeat(self.w, counts) + len(self.w) * steps).tolist())
 
     def is_proper(self) -> bool:
         """Whether the ideal is contained in its ambient semigroup."""
@@ -228,13 +244,11 @@ class NariPartition:
 
 
 def nari_partition(S: NumericalSemigroup) -> NariPartition:
-    from .hilbert import apery_table
-
     e = S.multiplicity
     f = S.frobenius
     pf = pseudo_frobenius(S)
     b = sorted(x + e for x in pf if x != f)
-    a = sorted(set(apery_table(S).elements) - set(b))
+    a = sorted(set(S.w.tolist()) - set(b))
     part = NariPartition(a=tuple(a), b=tuple(b))
     _certify(len(part.b) == semigroup_type(S) - 1, "Nari part b does not have type - 1 elements")
     _certify(part.a[-1] == f + e, "largest element of Nari part a is not f + e")

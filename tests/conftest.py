@@ -15,13 +15,14 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import numsgps
-from numsgps import NumericalSemigroup
+from numsgps import LayerSets, NumericalSemigroup
 from numsgps.core import _min_plus
 
 
@@ -77,6 +78,32 @@ def brute_orders(gens, bound: int) -> dict[int, int]:
     return orders
 
 
+def brute_layer_sets(gens, k_max: int) -> LayerSets:
+    """C_k, D_k and D_k^t for 2 <= k <= k_max, straight from their definitions.
+
+    D_k: ord(s) = k - 1 and ord(s + e) > k, split by t = ord(s + e); C_k:
+    ord(s) = k and s - e outside (k-1)M, i.e. ord(s - e) < k - 1 with -1 off
+    S.  Members of order <= k_max, and s + e for those of order < k_max, lie
+    below c + (k_max + 1) e.
+    """
+    gens = sorted(set(gens))
+    e = gens[0]
+    probe_bound = (e + 1) * max(gens) + e  # the Frobenius number is below (e - 1) max(gens)
+    c = brute_conductor(brute_members(gens, probe_bound), e, probe_bound)
+    orders = brute_orders(gens, c + (k_max + 2) * e)
+    c_sets, d_sets, d_refined = {}, {}, {}
+    for k in range(2, k_max + 1):
+        c_sets[k] = tuple(s for s, o in sorted(orders.items())
+                          if o == k and orders.get(s - e, -1) < k - 1)
+        d_sets[k] = tuple(s for s, o in sorted(orders.items())
+                          if o == k - 1 and orders[s + e] > k)
+        refined: dict[int, tuple[int, ...]] = {}
+        for s in d_sets[k]:
+            refined[orders[s + e]] = refined.get(orders[s + e], ()) + (s,)
+        d_refined[k] = dict(sorted(refined.items()))
+    return LayerSets(c_sets=c_sets, d_sets=d_sets, d_refined=d_refined)
+
+
 def dense_apery_rows(S: NumericalSemigroup) -> list[np.ndarray]:
     """W_0, ..., W_R by W_{k+1}[r] = min_g W_k[(r - g) mod e] + g over all e classes.
 
@@ -111,6 +138,22 @@ def run_script(script: str, *flags: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_capped(script: str, cap: int = 1 << 30) -> subprocess.CompletedProcess:
+    """``run_script`` with the address space capped at ``cap`` bytes."""
+    prelude = (
+        "import os, resource\n"
+        "# one BLAS thread: a thread pool reserves address space of its own\n"
+        'os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")\n'
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+    )
+    return run_script(prelude + textwrap.dedent(script))
+
+
+def run_capped_cli(argv: list[str], cap: int = 1 << 30) -> subprocess.CompletedProcess:
+    """Run the CLI on ``argv`` under ``run_capped``."""
+    return run_capped(f"import sys\nfrom numsgps.cli import main\nsys.exit(main({argv!r}))\n", cap)
 
 
 def _exit_under_python_O(patch: str, argv: list[str]) -> subprocess.CompletedProcess:

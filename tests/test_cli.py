@@ -4,6 +4,11 @@ import pytest
 
 from numsgps.cli import main
 
+from conftest import run_capped_cli
+
+LARGE_CANONICAL = ["duplicate", "10007,10009", "--ideal", "canonical", "--b", "10007",
+                   "--hmax", "3"]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -145,3 +150,17 @@ def test_json_generator_argument(capsys):
     code, out, _ = run(capsys, "info", "[2, 3]", "--json")
     assert code == 0
     assert json.loads(out)["min_gens"] == [2, 3]
+
+
+def test_duplicate_large_canonical_in_bounded_memory():
+    # the canonical ideal lists 50070024 members: its JSON is built only under --json
+    proc = run_capped_cli(LARGE_CANONICAL)
+    assert proc.returncode == 0, proc.stderr
+    assert "H = [1, 2, 3, 4]" in proc.stdout.splitlines()
+
+
+def test_duplicate_large_canonical_json_fails_fast():
+    proc = run_capped_cli(LARGE_CANONICAL + ["--json"])
+    assert proc.returncode == 2, proc.stderr
+    assert "error: ideal listing of 50070024 elements exceeds" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,6 +1,6 @@
 import math
 import random
-import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,11 +29,13 @@ from numsgps.hilbert import _apery_summary, _rows
 from conftest import (
     _exit_under_python_O,
     brute_hilbert,
+    brute_layer_sets,
     brute_members,
     brute_orders,
     dense_apery_rows,
     random_semigroup,
-    run_script,
+    run_capped,
+    run_capped_cli,
 )
 
 
@@ -311,17 +313,49 @@ def test_apery_rows_across_gather_blocks(rng, monkeypatch):
 
 def test_two_large_generators_hilbert_in_bounded_memory():
     # <10007, 10009> has about 10^4 Apery rows of 10^4 entries each: 800 MB if stacked
-    proc = run_script(textwrap.dedent("""
-        import os, resource
-        # one BLAS thread: a thread pool reserves address space of its own
-        os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = run_capped("""
         from numsgps import NumericalSemigroup, hilbert_function
         S = NumericalSemigroup.from_generators([10007, 10009])
         print(hilbert_function(S, 3).values)
-    """))
+    """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "(1, 2, 3, 4)"
+
+
+def test_two_large_generators_layers_in_bounded_memory():
+    # c is about 10^8: an order table over [0, c + 5e) would take 800 MB, and two shifted copies
+    proc = run_capped_cli(["hilbert", "10007,10009", "--hmax", "3", "--layers"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("H = [1, 2, 3, 4]\n")
+    assert "C_3 = [" in proc.stdout and "D_3 = [" in proc.stdout
+
+
+@given(semigroup_gens(), st.integers(min_value=0, max_value=30))
+@example([1], 2)
+@example([2, 3], 3)
+# D_3 = {23} reads column 2 of the grid: 23 = 18 + 5 has order 2, 23 + 5 = 4 * 7 order 4
+@example([5, 7, 18], 1)
+# D_3 splits over the landing orders 4 and 5; random small semigroups rarely do
+@example(list(fixture_semigroup("ex3_9_nonproper").min_gens), 1)
+@settings(max_examples=50, deadline=None)
+def test_layer_sets_match_brute(gens, extra):
+    S = NumericalSemigroup.from_generators(gens)
+    # k_max from 2 to e + 3, past the reduction index (at most e)
+    k_max = 2 + extra % (S.multiplicity + 2)
+    assert layer_sets(S, k_max) == brute_layer_sets(S.min_gens, k_max)
+
+
+def test_layer_sets_memory_independent_of_conductor():
+    # c is about 10^6: one int64 table over [0, c + 6e) alone is 8 MB
+    S = NumericalSemigroup.from_generators([1009, 1013])
+    tracemalloc.start()
+    try:
+        layers = layer_sets(S, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert layers.c_sets[2] == (2026,)
 
 
 def test_cross_check_fires_under_python_O():
@@ -331,6 +365,15 @@ def test_cross_check_fires_under_python_O():
     )
     assert proc.returncode == 4, proc.stderr
     assert "Hilbert values disagree" in proc.stderr
+
+
+def test_layer_certificate_fires_under_python_O():
+    proc = _exit_under_python_O(
+        "numsgps.hilbert.apery_table = lambda S: numsgps.hilbert.AperyTable((), {}, {})",
+        ["hilbert", "4,6,7", "--hmax", "5", "--layers"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "does not match its decomposition" in proc.stderr
 
 
 def test_witness_certificate_fires_under_python_O():

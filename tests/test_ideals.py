@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import numsgps
 from numsgps import (
     NumericalSemigroup,
     construct_asd,
@@ -263,3 +265,20 @@ def test_ideal_values_outside_int64_headroom_rejected():
     with pytest.raises(ValueError, match="supported range"):
         K.shift(2**59).shift(2**59)
     assert main(["duplicate", "4,6,7", "--ideal", f"canonical+{2**63 - 1000}", "--b", "7"]) == 2
+
+
+def test_listing_built_per_class_and_guarded(monkeypatch):
+    # class 0 holds the 10^5 members below the threshold 10^7, every other class none
+    S = NumericalSemigroup.from_generators([100] + [10**7 + r for r in range(1, 100)])
+    E = semigroup_as_ideal(S)
+    tracemalloc.start()
+    try:
+        listing = E.small
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert listing == tuple(range(0, 10**7, 100))
+    assert peak < 16 << 20  # an int64 range over [0, threshold) alone is 80 MB
+    monkeypatch.setattr(numsgps.ideals, "LISTING_LIMIT", len(listing) - 1)
+    with pytest.raises(ValueError, match=f"ideal listing of {len(listing)} elements exceeds"):
+        E.to_json()
