@@ -15,10 +15,12 @@ index R, the first k >= 1 with W_k = W_{k-1} + e, i.e. kM = (k-1)M + e.
 That identity propagates to every higher power, hence H(h) = e for all
 h >= R - 1, and ``stable_from`` is the start of that constant tail.
 
-Each Hilbert call also builds the ideal powers hM over a window as
-integer bitsets, shifted by each generator in turn, and insists that the
-H(h) = |hM \\ (h+1)M| counted there agree with the rows.  That route never
-looks at the rows, so agreement is a genuine cross-check.
+Each Hilbert call also builds the ideal powers hM as integer bitsets, each
+on its own window [he, he + W) with W = ceil((c + e) / e) e, reaches
+(h+1)M by one right shift per generator, and insists that the
+H(h) = |hM \\ (h+1)M| counted there (one popcount per level) agree with the
+rows.  That route never looks at the rows, so agreement is a genuine
+cross-check.
 """
 
 from __future__ import annotations
@@ -144,27 +146,38 @@ def element_order(S: NumericalSemigroup, s: int) -> int:
 def hilbert_by_set_construction(S: NumericalSemigroup, h_max: int) -> list[int]:
     """H(0..h_max) via |hM \\ (h+1)M| on explicitly built ideal powers.
 
-    Each power kM over the window [0, bound) is one Python integer whose bit
-    x is set for the members x, starting from 0M = S; (k+1)M = kM + G for the
-    minimal generators G, since M = G + S and kM is an ideal.
+    kM lies in [ke, oo) and contains [c + ke, oo), so level k is held on its
+    own window [ke, ke + W), W = ceil((c + e) / e) e, as one Python integer
+    whose bit j is set when ke + W - 1 - j is in kM, starting from 0M = S.
+    (k+1)M = kM + G for the minimal generators G, since M = G + S and kM is an
+    ideal; every member of window k + 1 is some x + g with x in window k, and
+    adding g moves bit j of window k to bit j - (g - e) of window k + 1, a
+    right shift.  kM \\ (k+1)M lies below c + (k+1)e <= ke + W, and the top e
+    bits of window k + 1 (from ke + W >= c + (k+1)e on) are all members, so
+    H(k) = |window k| - |window k + 1| + e: one popcount per level.
     """
     e = S.multiplicity
-    bound = max(S.conductor + (h_max + 2) * e, 2 * e + 2)
-    table = np.zeros(bound, dtype=bool)
-    for a in S.w.tolist():
-        table[a::e] = True
-    level = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
-    del table  # a byte per bit; the loop below needs only the bitsets
-    mask = (1 << bound) - 1
-    values = []
+    rows = -(-(S.conductor + e) // e)
+    # bit j = i e + t stands for x = q e + r with q = rows - 1 - i, r = e - 1 - t,
+    # and x is in S exactly when q >= w[r] // e
+    floors = (S.w // e)[::-1]
+    step = 8 * max(1, _GATHER_CELLS // (8 * e))  # a multiple of 8 rows packs to whole bytes
+    packed = np.empty(-(-rows * e // 8), dtype=np.uint8)
+    for top in range(0, rows, step):
+        q = np.arange(rows - 1 - top, max(rows - 1 - top - step, -1), -1)
+        block = np.packbits(q[:, None] >= floors, bitorder="little")
+        packed[top * e // 8 : top * e // 8 + len(block)] = block
+    level = int.from_bytes(packed, "little")
+    del packed
+    shifts = sorted((g - e for g in S.min_gens), reverse=True)  # the accumulator grows
+    counts = [level.bit_count()]
     for _ in range(h_max + 1):
-        nxt = 0
-        for g in S.min_gens:
-            nxt |= level << g
-        nxt &= mask
-        values.append((level & ~nxt).bit_count())
+        nxt = level >> shifts[0]
+        for s in shifts[1:]:
+            nxt |= level >> s
         level = nxt
-    return values
+        counts.append(level.bit_count())
+    return [now - after + e for now, after in zip(counts, counts[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,11 @@ class RelativeIdeal:
         return hash((self.ambient, self.w.tobytes()))
 
     def __repr__(self) -> str:
-        return f"RelativeIdeal(small={self.small}, threshold={self.threshold})"
+        try:
+            small = self.small
+        except ValueError:  # past LISTING_LIMIT: the Apery vector stands in for the listing
+            return f"RelativeIdeal(w={self.w.tolist()}, threshold={self.threshold})"
+        return f"RelativeIdeal(small={small}, threshold={self.threshold})"
 
     def to_json(self) -> dict:
         return {"small": list(self.small), "threshold": self.threshold}

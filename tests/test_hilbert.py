@@ -263,14 +263,32 @@ def test_hilbert_through_stabilization_matches_brute(gens):
     assert start == 0 or brute[start - 1] != e
 
 
-@given(semigroup_gens(max_gen=12))
-@settings(max_examples=30, deadline=None)
-def test_set_construction_oracle_matches_brute(gens):
+@given(semigroup_gens(max_gen=12), st.integers(min_value=0, max_value=30))
+# window edges: c < e only for <1> (c = 0); c = e for <2,3> and <5,...,9>; c = 3e for <3,7,11>
+@example([1], 4)
+@example([2, 3], 5)
+@example([3, 7, 11], 6)
+@example([5, 6, 7, 8, 9], 8)
+@example(list(fixture_semigroup("ex3_9_nonproper").min_gens), 6)
+@settings(max_examples=40, deadline=None)
+def test_set_construction_oracle_matches_brute(gens, extra):
     S = NumericalSemigroup.from_generators(gens)
-    brute = brute_hilbert(S.min_gens, 8)
-    # H is constant from h = 8 on for about 95% of these semigroups
-    for h_max in range(9):
-        assert hilbert_by_set_construction(S, h_max) == brute[: h_max + 1]
+    # h_max from 0 to e + 3, past the reduction index (at most e)
+    h_max = extra % (S.multiplicity + 4)
+    assert hilbert_by_set_construction(S, h_max) == brute_hilbert(S.min_gens, h_max)
+
+
+def test_set_construction_oracle_memory_below_conductor_tables():
+    # c is about 10^8: each bitset on the window is 12.5 MB, a bool table over it 100 MB
+    S = NumericalSemigroup.from_generators([10007, 10009])
+    tracemalloc.start()
+    try:
+        values = hilbert_by_set_construction(S, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert values == [1, 2, 3, 4]
 
 
 def _assert_rows_match_dense(S):

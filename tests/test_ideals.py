@@ -282,3 +282,13 @@ def test_listing_built_per_class_and_guarded(monkeypatch):
     monkeypatch.setattr(numsgps.ideals, "LISTING_LIMIT", len(listing) - 1)
     with pytest.raises(ValueError, match=f"ideal listing of {len(listing)} elements exceeds"):
         E.to_json()
+
+
+def test_repr_past_listing_limit():
+    S = NumericalSemigroup.from_generators([3, 5])
+    assert repr(maximal_ideal(S)) == "RelativeIdeal(small=(3, 5, 6), threshold=8)"
+    # the canonical ideal of <10007, 10009> has 50070024 members below its threshold
+    K = standard_canonical_ideal(NumericalSemigroup.from_generators([10007, 10009]))
+    text = repr(K)
+    assert text.startswith(f"RelativeIdeal(w=[{K.w[0]}, {K.w[1]}, ")
+    assert text.endswith(f"], threshold={K.threshold})")
