@@ -11,9 +11,12 @@ every invariant is an exact integer read off ``w``: the Frobenius number is
 max(w) - e, the genus is the number sum(w // e) of gaps below the class
 minima, and gaps or membership tables are produced on demand.
 
-:func:`_members` reads membership off such a vector and :func:`_min_plus`
-is the one routine that combines them; semigroup and ideal arithmetic,
-Hilbert rows and pseudo-Frobenius numbers all reduce to it.
+:func:`_members` reads membership off such a vector, :func:`_per_class`
+lists a set class by class, and :func:`_min_plus` combines vectors by one
+min-plus gather over all e classes; semigroup and ideal arithmetic and
+pseudo-Frobenius numbers reduce to it.  The Hilbert rows of
+:mod:`numsgps.hilbert` do not: ``_rows`` gathers only over the frontier of
+classes that stayed put at the last level.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ _UNREACHED = 1 << 62
 
 # Index cells per gather block: bounds the temporary of one block to 512 KiB.
 _GATHER_CELLS = 1 << 16
+
+# Elements that a per-class listing (gaps, ideal members below the threshold) may hold.
+LISTING_LIMIT = 1 << 22
 
 
 class SemigroupError(Exception):
@@ -80,6 +86,18 @@ def _min_plus(v: np.ndarray, shifts) -> np.ndarray:
         block += shifts[lo : lo + step, None]  # in place: one block-sized temporary, not two
         np.minimum(out, block.min(axis=0), out=out)
     return out
+
+
+def _per_class(starts: np.ndarray, counts: np.ndarray, what: str) -> tuple[int, ...]:
+    """starts[r] + j e for 0 <= j < counts[r] over every class r, ascending; e = len(starts).
+
+    Built class by class in O(size + e) memory; ValueError past LISTING_LIMIT.
+    """
+    size = int(counts.sum())
+    if size > LISTING_LIMIT:
+        raise ValueError(f"{what} of {size} elements exceeds the supported size 2**22")
+    steps = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return tuple(np.sort(np.repeat(starts, counts) + len(starts) * steps).tolist())
 
 
 def _check_size(e: int, top: int) -> None:
@@ -191,7 +209,9 @@ class NumericalSemigroup:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(~self.members_up_to(self.conductor)).tolist())
+        """The class r holds the gaps r, r + e, ..., w[r] - e; ValueError past LISTING_LIMIT."""
+        e = self.multiplicity
+        return _per_class(np.arange(e, dtype=np.int64), self.w // e, "gap listing")
 
     def contains(self, x: int) -> bool:
         return bool(_members(self.w, x))

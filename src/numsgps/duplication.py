@@ -18,7 +18,6 @@ more than any prescribed amount.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .construction import construct_asd, is_excluded_level
 from .hilbert import HilbertFunction, hilbert_through_stabilization
 from .ideals import (
     RelativeIdeal,
-    ideal_sum,
     is_symmetric,
     maximal_ideal,
     semigroup_type,
@@ -64,16 +62,6 @@ class ExcludedLevel(SemigroupError):
     """Levels 14+22k and 35+46k are outside the witness procedure's range."""
 
 
-def _check_double_sum(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> RelativeIdeal:
-    """D = E + E + b, which must lie in S."""
-    double = ideal_sum(E, E).shift(b)
-    outside = double.w[double.w < S.w]
-    if len(outside):
-        x = int(outside.min()) - b
-        raise IdealSumViolation(f"{x} + {b} lies in E + E + b but outside S")
-    return double
-
-
 def numerical_duplication(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> NumericalSemigroup:
     """The duplication of S along E with odd shift b in S.
 
@@ -96,11 +84,14 @@ def numerical_duplication(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> Nu
         raise BNotInS(f"{b} is not an element of the semigroup")
     if E.ambient != S:
         raise ValueError("ideal must live over the semigroup being duplicated")
-    D = _check_double_sum(S, E, b)
+    x = np.array(E.minimal_generators(), dtype=np.int64)
+    D = RelativeIdeal._of(S, _min_plus(E.w, x)).shift(b)  # E + E + b
+    outside = D.w[D.w < S.w]
+    if len(outside):
+        raise IdealSumViolation(f"{int(outside.min()) - b} + {b} lies in E + E + b but outside S")
 
-    gens = [2 * n for n in S.min_gens if not D.contains(n)]
-    gens.extend(2 * x + b for x in E.minimal_generators())
-    G = tuple(sorted(gens))
+    n = np.array(S.min_gens, dtype=np.int64)
+    G = tuple(np.sort(np.concatenate([2 * n[~_members(D.w, n)], 2 * x + b])).tolist())
     m = G[0]
     _check_size(m, G[-1])
     u = np.concatenate([2 * S.w, 2 * E.w + b])
@@ -165,16 +156,12 @@ def smallest_odd_element(S: NumericalSemigroup) -> int:
     return int(first[first % 2 == 1].min())
 
 
-def duplication_chain(
-    S0: NumericalSemigroup,
-    steps: int,
-    b_rule: Callable[[NumericalSemigroup], int] = smallest_odd_element,
-) -> list[NumericalSemigroup]:
+def duplication_chain(S0: NumericalSemigroup, steps: int) -> list[NumericalSemigroup]:
     """Iterate S -> duplication of S along its maximal ideal, ``steps`` times.
 
     Every positive Hilbert value doubles per step and the type maps to
-    2t + 1; almost symmetry is preserved.  The default shift rule picks the
-    smallest odd element of the current semigroup.
+    2t + 1; almost symmetry is preserved.  Each step shifts by the smallest
+    odd element of the current semigroup.
     """
     if S0.conductor == 0:
         raise ValueError("the chain needs a semigroup other than the naturals")
@@ -182,8 +169,8 @@ def duplication_chain(
         raise ValueError("steps must be nonnegative")
     chain = [S0]
     for _ in range(steps):
-        current = chain[-1]
-        chain.append(numerical_duplication(current, maximal_ideal(current), b_rule(current)))
+        S = chain[-1]
+        chain.append(numerical_duplication(S, maximal_ideal(S), smallest_odd_element(S)))
     return chain
 
 
@@ -284,23 +271,15 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
         i0 = drop.bit_length()
 
     semigroups = duplication_chain(seed, i0)
-    steps = []
-    prev_b: int | None = None
-    for idx, S in enumerate(semigroups):
-        steps.append(
-            ChainStep(
-                index=idx,
-                b=prev_b,
-                semigroup=S,
-                type=semigroup_type(S),
-                hilbert=hilbert_through_stabilization(S, level + 1),
-            )
-        )
-        prev_b = smallest_odd_element(S)
+    bs = [smallest_odd_element(S) for S in semigroups]  # step i + 1 was built with bs[i]
+    steps = tuple(
+        ChainStep(index=idx, b=b, semigroup=S, type=semigroup_type(S),
+                  hilbert=hilbert_through_stabilization(S, level + 1))
+        for idx, (b, S) in enumerate(zip([None] + bs, semigroups))
+    )
 
-    last = semigroups[-1]
+    last, final_b = semigroups[-1], bs[-1]
     E = standard_canonical_ideal(last).shift(last.frobenius + 1)
-    final_b = smallest_odd_element(last)
     final = numerical_duplication(last, E, final_b)
 
     H_final = hilbert_through_stabilization(final, level + 1)
@@ -311,7 +290,7 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
         level=level,
         drop_target=drop,
         seed_name=seed_name,
-        chain=tuple(steps),
+        chain=steps,
         final_b=final_b,
         final=final,
         final_hilbert=H_final,

@@ -12,8 +12,10 @@ ord(s) = #{k >= 1 : s >= W_k[s mod e]} and the Apery strata.
 
 Stabilization is certified, not guessed: the rows stop at the reduction
 index R, the first k >= 1 with W_k = W_{k-1} + e, i.e. kM = (k-1)M + e.
-That identity propagates to every higher power, hence H(h) = e for all
-h >= R - 1, and ``stable_from`` is the start of that constant tail.
+That identity propagates to every higher power.  Since every entry rises
+by 0 or e, H(k) = e exactly when every class rises at level k + 1, that is
+when k + 1 >= R.  So H(k) = e if and only if k >= R - 1, and
+``stable_from`` is R - 1.
 
 Each Hilbert call also builds the ideal powers hM as integer bitsets, each
 on its own window [he, he + W) with W = ceil((c + e) / e) e, reaches
@@ -219,40 +221,34 @@ class HilbertFunction:
         return {"values": list(self.values), "stable_from": self.stable_from}
 
 
-def _hilbert_counts(S: NumericalSemigroup) -> tuple[list[int], int]:
-    """H(0..R-1) read off the Apery rows, and the certified ``stable_from``.
+def _certified(S: NumericalSemigroup, h_max: int, extend: bool) -> tuple[tuple[int, ...], int]:
+    """H(0..h_max), through ``stable_from`` as well if ``extend``, and ``stable_from``.
 
-    The reduction RM = (R-1)M + e gives H(h) = e for every h >= R - 1.
+    The rows give H(0..R-1), and by the lemma above H(h) = e exactly from
+    R - 1 on, so ``stable_from`` is R - 1.  The values are checked against
+    the oracle; when ``stable_from`` is within them, that check covers
+    H(R-1) = e and, for R >= 2, H(R-2) < e, which pin it down.
     """
-    e = S.multiplicity
-    counts = list(_apery_summary(S)[0])
+    counts = _apery_summary(S)[0]
     start = len(counts) - 1
-    while start > 0 and counts[start - 1] == e:
-        start -= 1
-    return counts, start
-
-
-def _cross_check(S: NumericalSemigroup, counts: list[int], h_max: int) -> tuple[int, ...]:
-    """H(0..h_max) from ``counts`` and the constant-e tail, checked against the oracle."""
-    values = tuple((counts + [S.multiplicity] * (h_max + 1))[: h_max + 1])
-    oracle = hilbert_by_set_construction(S, h_max)
-    _certify(list(values) == oracle, "Apery-row and set-construction Hilbert values disagree")
-    return values
+    h_max = max(h_max, start) if extend else h_max
+    values = (counts + (S.multiplicity,) * (h_max + 1))[: h_max + 1]
+    _certify(list(values) == hilbert_by_set_construction(S, h_max),
+             "Apery-row and set-construction Hilbert values disagree")
+    return values, start
 
 
 def hilbert_function(S: NumericalSemigroup, h_max: int) -> HilbertFunction:
     """Exact H(0..h_max) with a certified ``stable_from`` marker."""
     if h_max < 1:
         raise ValueError("h_max must be at least 1")
-    counts, start = _hilbert_counts(S)
-    values = _cross_check(S, counts, h_max)
+    values, start = _certified(S, h_max, extend=False)
     return HilbertFunction(values=values, stable_from=start if start <= h_max else None)
 
 
 def hilbert_through_stabilization(S: NumericalSemigroup, h_min: int = 1) -> HilbertFunction:
     """Hilbert values extended far enough that ``stable_from`` is present."""
-    counts, start = _hilbert_counts(S)
-    values = _cross_check(S, counts, max(h_min, start, 1))
+    values, start = _certified(S, max(h_min, 1), extend=True)
     return HilbertFunction(values=values, stable_from=start)
 
 

@@ -18,17 +18,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import APERY_LIMIT, NumericalSemigroup, _certify, _members, _min_plus
+from .core import APERY_LIMIT, NumericalSemigroup, _certify, _members, _min_plus, _per_class
 
 
 def _check_range(*values) -> None:
     """Keep ideal elements, shifts and their sums inside int64."""
     if any(abs(int(v)) > APERY_LIMIT for v in values):
         raise ValueError("ideal elements exceed the supported range 2**59")
-
-
-# Members below the threshold that ``small`` (and so ``to_json``) will list.
-LISTING_LIMIT = 1 << 22
 
 
 def _below(w: np.ndarray, threshold: int) -> np.ndarray:
@@ -102,12 +98,7 @@ class RelativeIdeal:
 
         Built class by class (w[r], w[r] + e, ...) in O(size + e) memory.
         """
-        counts = _below(self.w, self.threshold)
-        size = int(counts.sum())
-        if size > LISTING_LIMIT:
-            raise ValueError(f"ideal listing of {size} elements exceeds the supported size 2**22")
-        steps = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
-        return tuple(np.sort(np.repeat(self.w, counts) + len(self.w) * steps).tolist())
+        return _per_class(self.w, _below(self.w, self.threshold), "ideal listing")
 
     def is_proper(self) -> bool:
         """Whether the ideal is contained in its ambient semigroup."""
@@ -207,7 +198,6 @@ def semigroup_type(S: NumericalSemigroup) -> int:
     return len(pseudo_frobenius(S))
 
 
-@lru_cache(maxsize=512)
 def standard_canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """K(S) = {x >= 0 : f(S) - x not in S}; sits between S and the naturals.
 

@@ -176,6 +176,19 @@ def _rejected_before_allocating(gens, match):
     assert peak < 1 << 20  # no 8e-byte vector was allocated
 
 
+def test_gaps_listed_per_class_and_guarded():
+    # <10007, 10009> has genus 50070024; a bool table over [0, c) alone is 764 MiB
+    S = NumericalSemigroup.from_generators([10007, 10009])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"gap listing of {S.genus} elements exceeds"):
+            S.gaps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_multiplicity_ceiling(monkeypatch):
     _rejected_before_allocating([MULTIPLICITY_LIMIT + 1, MULTIPLICITY_LIMIT + 2], "multiplicity")
     monkeypatch.setattr(numsgps.core, "MULTIPLICITY_LIMIT", 1000)

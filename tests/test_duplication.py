@@ -15,6 +15,7 @@ from numsgps import (
     LevelTooSmall,
     NotStabilized,
     NumericalSemigroup,
+    RelativeIdeal,
     construct_asd,
     duplication_chain,
     fixture_semigroup,
@@ -333,6 +334,26 @@ def test_witness_builds_no_duplication_from_generators(monkeypatch):
     report = gorenstein_witness(4, 3)
     assert report.achieved_drop > 3
     assert len(report.chain) == 3
+
+
+def test_duplication_gathers_generators_once(monkeypatch):
+    calls = {"minimal_generators": 0, "contains": 0}
+
+    def counted(name):
+        method = getattr(RelativeIdeal, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(RelativeIdeal, name, counted(name))
+    monkeypatch.setattr(RelativeIdeal, "__contains__", RelativeIdeal.contains)
+    S = construct_asd(4).semigroup
+    numerical_duplication(S, standard_canonical_ideal(S).shift(101), 33)
+    assert calls == {"minimal_generators": 1, "contains": 0}
 
 
 def test_certificate_rejects_a_dropped_generator():

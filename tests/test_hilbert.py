@@ -316,6 +316,8 @@ def test_apery_rows_match_dense_recurrence(seed, mult):
     else:
         S = random_semigroup(random.Random(seed), max_mult=mult)
     _assert_rows_match_dense(S)
+    # H(k) = e exactly from R - 1 on, and the dense walk holds the R + 1 rows W_0..W_R
+    assert hilbert_through_stabilization(S).stable_from == len(dense_apery_rows(S)) - 2
 
 
 def test_apery_rows_across_gather_blocks(rng, monkeypatch):

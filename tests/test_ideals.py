@@ -279,7 +279,7 @@ def test_listing_built_per_class_and_guarded(monkeypatch):
         tracemalloc.stop()
     assert listing == tuple(range(0, 10**7, 100))
     assert peak < 16 << 20  # an int64 range over [0, threshold) alone is 80 MB
-    monkeypatch.setattr(numsgps.ideals, "LISTING_LIMIT", len(listing) - 1)
+    monkeypatch.setattr(numsgps.core, "LISTING_LIMIT", len(listing) - 1)
     with pytest.raises(ValueError, match=f"ideal listing of {len(listing)} elements exceeds"):
         E.to_json()
 

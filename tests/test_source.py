@@ -18,3 +18,37 @@ def test_no_assert_statements_in_package():
     ]
     assert len(SOURCES) >= 8
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """Names a module imports and never reads; names listed in ``__all__`` count as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_package():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_unused_import_scan_catches_a_leftover():
+    tree = ast.parse("from typing import Callable, Iterable\nimport numpy as np\n"
+                     "def f(x: Iterable) -> None:\n    np.sort(x)\n")
+    assert _unused_imports(tree) == [(1, "Callable")]
