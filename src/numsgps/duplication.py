@@ -18,6 +18,8 @@ more than any prescribed amount.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .core import (
     _relax,
 )
 from .construction import construct_asd, is_excluded_level
-from .hilbert import HilbertFunction, hilbert_through_stabilization
+from .hilbert import HilbertFunction, _certified, hilbert_through_stabilization
 from .ideals import (
     RelativeIdeal,
     is_symmetric,
@@ -130,7 +132,12 @@ def predicted_duplication_hilbert(
     This is the Hilbert function of a duplication along a proper canonical
     ideal when the source is almost symmetric; the caller owns that validity
     contract, since the arithmetic itself is happy to extrapolate for the
-    non-proper situations where the true values differ.
+    non-proper situations where the true values differ.  The type t must be
+    at most e - 1, as it is for every semigroup other than N.  With
+    s = ``H_source.stable_from``, the values are 2e from s + 1 on, while at
+    s itself they are e + H(s - 1) < 2e (s >= 2, by H(k) = e <=> k >= R - 1)
+    or nu + t = e + t < 2e (s = 1).  So ``stable_from`` is s + 1, None when
+    that is past h_max.
     """
     if h_max < 1:
         raise ValueError("h_max must be at least 1")
@@ -139,14 +146,23 @@ def predicted_duplication_hilbert(
         H_source.value_at(h) + H_source.value_at(h - 1) for h in range(2, h_max + 1)
     )
     stable_from: int | None = None
-    # the sums H(h) + H(h-1) are certified constant only from stable_from + 1 on
     if H_source.stable_from is not None and H_source.stable_from + 1 <= h_max:
-        doubled = 2 * H_source.stable_value
-        k = H_source.stable_from + 1
-        while k > 1 and values[k - 1] == doubled:
-            k -= 1
-        stable_from = k
+        stable_from = H_source.stable_from + 1
     return HilbertFunction(values=tuple(values), stable_from=stable_from)
+
+
+def _doubled_hilbert(H_source: HilbertFunction, h_max: int) -> HilbertFunction:
+    """[1, 2 H(1), 2 H(2), ...] up to h_max: the duplication along the maximal ideal.
+
+    For T the duplication of S (other than N) along M with odd b,
+    kM_T = 2 kM_S union (2 kM_S + b) for every k >= 1, so H_T(k) = 2 H_S(k),
+    the multiplicity doubles and R_T = R_S: ``stable_from`` carries over.
+    """
+    values = (1,) + tuple(2 * H_source.value_at(h) for h in range(1, h_max + 1))
+    stable_from: int | None = None
+    if H_source.stable_from is not None and H_source.stable_from <= h_max:
+        stable_from = H_source.stable_from
+    return HilbertFunction(values=values, stable_from=stable_from)
 
 
 def smallest_odd_element(S: NumericalSemigroup) -> int:
@@ -238,6 +254,21 @@ class WitnessReport:
         }
 
 
+def _checked_by_formula(
+    T: NumericalSemigroup, h_min: int, predict: Callable[[int], HilbertFunction], where: str
+) -> HilbertFunction:
+    """T's H through stabilization off its own rows, checked against ``predict``.
+
+    ``predict(h_max)`` pushes the parent's certified H through a duplication
+    formula and never reads T's rows; values and ``stable_from`` must agree.
+    """
+    def check(_: NumericalSemigroup, H: HilbertFunction) -> None:
+        _certify(H == predict(H.h_max),
+                 f"Apery-row and duplication-formula Hilbert values disagree at {where}")
+
+    return _certified(T, h_min, extend=True, check=check)
+
+
 def _witness_seed(level: int) -> tuple[str, NumericalSemigroup]:
     """Seed semigroup for the requested level."""
     from .fixtures import fixture_semigroup
@@ -256,6 +287,14 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
     parametric construction otherwise.  Then i0 maximal-ideal duplications
     (i0 = floor(log2(drop+1)) at level 2, floor(log2(drop)) + 1 otherwise)
     and one closing duplication along the proper canonical ideal K + f + 1.
+
+    Every reported H is read off that semigroup's own Apery rows and checked
+    by a second route.  The seed's is the set-construction oracle.  A chain
+    step's is its parent's certified H doubled, H(h) = 2 H_parent(h) for
+    h >= 1; the final's is ``predicted_duplication_hilbert`` of the last
+    chain step, [1, nu + t, H(2) + H(1), ...], valid as that step is almost
+    symmetric and K + f + 1 is proper.  By induction on the chain, each H
+    thus agrees with an independent route, ``stable_from`` included.
     """
     if level < 2:
         raise LevelTooSmall(f"level must be at least 2, got {level}")
@@ -272,17 +311,18 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
 
     semigroups = duplication_chain(seed, i0)
     bs = [smallest_odd_element(S) for S in semigroups]  # step i + 1 was built with bs[i]
-    steps = tuple(
-        ChainStep(index=idx, b=b, semigroup=S, type=semigroup_type(S),
-                  hilbert=hilbert_through_stabilization(S, level + 1))
-        for idx, (b, S) in enumerate(zip([None] + bs, semigroups))
-    )
+    steps = [ChainStep(index=0, b=None, semigroup=seed, type=semigroup_type(seed),
+                       hilbert=hilbert_through_stabilization(seed, level + 1))]
+    for idx, (b, S) in enumerate(zip(bs, semigroups[1:]), start=1):
+        H = _checked_by_formula(S, level + 1, partial(_doubled_hilbert, steps[-1].hilbert),
+                                f"chain step {idx}")
+        steps.append(ChainStep(index=idx, b=b, semigroup=S, type=semigroup_type(S), hilbert=H))
 
-    last, final_b = semigroups[-1], bs[-1]
-    E = standard_canonical_ideal(last).shift(last.frobenius + 1)
-    final = numerical_duplication(last, E, final_b)
-
-    H_final = hilbert_through_stabilization(final, level + 1)
+    last, final_b = steps[-1], bs[-1]
+    E = standard_canonical_ideal(last.semigroup).shift(last.semigroup.frobenius + 1)
+    final = numerical_duplication(last.semigroup, E, final_b)
+    predict = partial(predicted_duplication_hilbert, last.hilbert, last.type)
+    H_final = _checked_by_formula(final, level + 1, predict, "the final duplication")
     achieved = H_final.value_at(level - 1) - H_final.value_at(level)
     _certify(is_symmetric(final), "witness output must be symmetric")
     _certify(achieved > drop, f"drop {achieved} does not exceed the target {drop}")
@@ -290,7 +330,7 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
         level=level,
         drop_target=drop,
         seed_name=seed_name,
-        chain=steps,
+        chain=tuple(steps),
         final_b=final_b,
         final=final,
         final_hilbert=H_final,

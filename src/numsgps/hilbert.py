@@ -17,19 +17,22 @@ by 0 or e, H(k) = e exactly when every class rises at level k + 1, that is
 when k + 1 >= R.  So H(k) = e if and only if k >= R - 1, and
 ``stable_from`` is R - 1.
 
-Each Hilbert call also builds the ideal powers hM as integer bitsets, each
-on its own window [he, he + W) with W = ceil((c + e) / e) e, reaches
-(h+1)M by one right shift per generator, and insists that the
+Each public Hilbert call also builds the ideal powers hM as integer
+bitsets, each on its own window [he, he + W) with W = ceil((c + e) / e) e,
+reaches (h+1)M by one right shift per generator, and insists that the
 H(h) = |hM \\ (h+1)M| counted there (one popcount per level) agree with the
 rows.  That route never looks at the rows, so agreement is a genuine
-cross-check.
+cross-check.  A caller that already knows H from elsewhere can hand the
+private ``_certified`` that route instead: the witness procedure checks
+each duplication's rows against its parent's certified H pushed through
+the duplication formula, and runs the oracle on the seed only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -221,35 +224,46 @@ class HilbertFunction:
         return {"values": list(self.values), "stable_from": self.stable_from}
 
 
-def _certified(S: NumericalSemigroup, h_max: int, extend: bool) -> tuple[tuple[int, ...], int]:
-    """H(0..h_max), through ``stable_from`` as well if ``extend``, and ``stable_from``.
+def _set_construction_check(S: NumericalSemigroup, H: HilbertFunction) -> None:
+    """The oracle route: every value of H must match the bitset ideal powers.
+
+    When ``stable_from`` is within the values, this covers H(R-1) = e and,
+    for R >= 2, H(R-2) < e, which by the lemma above pin it down.
+    """
+    _certify(list(H.values) == hilbert_by_set_construction(S, H.h_max),
+             "Apery-row and set-construction Hilbert values disagree")
+
+
+def _certified(
+    S: NumericalSemigroup, h_max: int, extend: bool,
+    check: Callable[[NumericalSemigroup, HilbertFunction], None] = _set_construction_check,
+) -> HilbertFunction:
+    """H(0..h_max) off the rows, through ``stable_from`` as well if ``extend``.
 
     The rows give H(0..R-1), and by the lemma above H(h) = e exactly from
-    R - 1 on, so ``stable_from`` is R - 1.  The values are checked against
-    the oracle; when ``stable_from`` is within them, that check covers
-    H(R-1) = e and, for R >= 2, H(R-2) < e, which pin it down.
+    R - 1 on, so ``stable_from`` is R - 1 (None past h_max).  ``check(S, H)``
+    is the second route, which must not read the rows: the oracle unless a
+    caller has the values from elsewhere (a duplication's formula).
     """
     counts = _apery_summary(S)[0]
     start = len(counts) - 1
     h_max = max(h_max, start) if extend else h_max
     values = (counts + (S.multiplicity,) * (h_max + 1))[: h_max + 1]
-    _certify(list(values) == hilbert_by_set_construction(S, h_max),
-             "Apery-row and set-construction Hilbert values disagree")
-    return values, start
+    H = HilbertFunction(values=values, stable_from=start if start <= h_max else None)
+    check(S, H)
+    return H
 
 
 def hilbert_function(S: NumericalSemigroup, h_max: int) -> HilbertFunction:
     """Exact H(0..h_max) with a certified ``stable_from`` marker."""
     if h_max < 1:
         raise ValueError("h_max must be at least 1")
-    values, start = _certified(S, h_max, extend=False)
-    return HilbertFunction(values=values, stable_from=start if start <= h_max else None)
+    return _certified(S, h_max, extend=False)
 
 
 def hilbert_through_stabilization(S: NumericalSemigroup, h_min: int = 1) -> HilbertFunction:
     """Hilbert values extended far enough that ``stable_from`` is present."""
-    values, start = _certified(S, max(h_min, 1), extend=True)
-    return HilbertFunction(values=values, stable_from=start)
+    return _certified(S, max(h_min, 1), extend=True)
 
 
 def decrease_levels(H: HilbertFunction) -> tuple[int, ...]:

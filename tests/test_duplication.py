@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numsgps.core
+import numsgps.duplication
+import numsgps.hilbert
 from numsgps import (
     BNotInS,
     EvenB,
@@ -20,6 +22,7 @@ from numsgps import (
     duplication_chain,
     fixture_semigroup,
     gorenstein_witness,
+    hilbert_by_set_construction,
     hilbert_function,
     hilbert_through_stabilization,
     ideal_generated_by,
@@ -34,7 +37,8 @@ from numsgps import (
     standard_canonical_ideal,
 )
 
-from numsgps.duplication import _certify_generators
+from numsgps.construction import is_excluded_level
+from numsgps.duplication import _certify_generators, _doubled_hilbert
 
 from conftest import _exit_under_python_O, random_semigroup
 
@@ -288,6 +292,73 @@ def test_witness_report_json():
     rich = report.to_json(include_generators=True)
     assert rich["final"]["min_gens"] == list(report.final.min_gens)
     assert all("min_gens" in step for step in rich["chain"])
+
+
+def test_witness_runs_the_oracle_on_the_seed_only(monkeypatch):
+    oracle_calls = []
+    oracle = numsgps.hilbert.hilbert_by_set_construction
+    monkeypatch.setattr(numsgps.hilbert, "hilbert_by_set_construction",
+                        lambda S, h_max: oracle_calls.append(S) or oracle(S, h_max))
+    report = gorenstein_witness(4, 3)
+    assert len(report.chain) == 3
+    assert oracle_calls == [report.chain[0].semigroup]
+
+
+def test_witness_routes_agree_with_the_oracle():
+    # each chain step and final is certified by its parent's H through a
+    # duplication formula; the oracle on the same semigroup must agree
+    checked = 0
+    for level in range(2, 14):
+        if is_excluded_level(level):
+            continue
+        for drop in (1, 2, 3):
+            report = gorenstein_witness(level, drop)
+            reported = [(step.semigroup, step.hilbert) for step in report.chain[1:]]
+            for S, H in reported + [(report.final, report.final_hilbert)]:
+                assert list(H.values) == hilbert_by_set_construction(S, H.h_max)
+                assert H.stable_from == H.values.index(S.multiplicity)
+                checked += 1
+    assert checked == 95
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_doubling_formula_matches_maximal_duplication(rnd):
+    S = random_semigroup(rnd, max_mult=10)
+    odds = [x for x in S.elements_up_to(S.conductor + 2 * S.multiplicity) if x % 2]
+    for b in {smallest_odd_element(S), rnd.choice(odds)}:
+        T = numerical_duplication(S, maximal_ideal(S), b)
+        H_T = hilbert_through_stabilization(T)
+        H_S = hilbert_through_stabilization(S, H_T.h_max)
+        assert _doubled_hilbert(H_S, H_T.h_max) == H_T
+        assert _doubled_hilbert(H_S, H_T.stable_from - 1).stable_from is None
+
+
+def test_chain_certificate_names_its_step(monkeypatch):
+    doubled = numsgps.duplication._doubled_hilbert
+
+    def off_by_one_at_1(H, h_max):
+        D = doubled(H, h_max)
+        return HilbertFunction(D.values[:1] + (D.values[1] + 1,) + D.values[2:], D.stable_from)
+
+    monkeypatch.setattr(numsgps.duplication, "_doubled_hilbert", off_by_one_at_1)
+    with pytest.raises(AssertionError, match="duplication-formula Hilbert values disagree "
+                                             "at chain step 1"):
+        gorenstein_witness(4, 1)
+
+
+def test_final_certificate_fires_under_python_O():
+    proc = _exit_under_python_O(
+        "predict = numsgps.duplication.predicted_duplication_hilbert\n"
+        "def shifted(H, t, h_max):\n"
+        "    P = predict(H, t, h_max)\n"
+        "    return numsgps.hilbert.HilbertFunction(tuple(v + 1 for v in P.values), P.stable_from)\n"
+        "numsgps.duplication.predicted_duplication_hilbert = shifted",
+        ["witness", "--level", "4", "--drop", "1"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert ("Apery-row and duplication-formula Hilbert values disagree "
+            "at the final duplication") in proc.stderr
 
 
 def _sums_escape(S, E, b) -> bool:

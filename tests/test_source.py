@@ -20,6 +20,27 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _certify_messages(tree: ast.Module) -> list[str]:
+    """The source of the message argument of every ``_certify`` call."""
+    return [ast.unparse(node.args[1]) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_certify"]
+
+
+def test_certify_messages_are_unique_literals():
+    # a failed cross-check names one claim and one route
+    messages = [m for path in SOURCES
+                for m in _certify_messages(ast.parse(path.read_text(), filename=str(path)))]
+    assert len(messages) >= 19
+    assert all(m[0] in "'\"" or m[:2] in ("f'", 'f"') for m in messages), messages
+    assert sorted(m for m in set(messages) if messages.count(m) > 1) == []
+
+
+def test_certify_message_scan_sees_fstrings():
+    tree = ast.parse("_certify(a, 'x')\nif b:\n    _certify(b, f'y {k}')\n_certify(c, msg)\n")
+    assert sorted(_certify_messages(tree)) == ["'x'", "f'y {k}'", "msg"]
+
+
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """Names a module imports and never reads; names listed in ``__all__`` count as read."""
     imported = {}
