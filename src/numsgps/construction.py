@@ -9,6 +9,14 @@ e < n1 < n2 chosen so that ell*n1 + (ell-1)*e = (ell+2)*n2.
 
 Levels congruent to 14 mod 22 or 35 mod 46 are excluded: exactly there
 gcd(e, n1, n2) > 1 and no numerical semigroup arises.
+
+The semigroup is built from its Apery set, which the paper gives in closed
+form: 0, k*n1 for k <= ell, n2, t1, t2 and the s and r families.  Each
+member fills its class mod e, and a two-gather certificate checks that the
+generating set generates exactly that Apery set and that no generator is a
+sum of two others.  So the family claims of :func:`verify_construction` are
+settled when the semigroup is built: a wrong family raises AssertionError
+(CLI exit 4), as a redundant generator does, and never passes silently.
 """
 
 from __future__ import annotations
@@ -17,7 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .core import NumericalSemigroup, SemigroupError, _certify
+import numpy as np
+
+from .core import NumericalSemigroup, SemigroupError, _certify, _certify_generators, _check_size
 from .hilbert import apery_table, decrease_levels, hilbert_through_stabilization
 from .ideals import is_almost_symmetric, nari_partition, pseudo_frobenius, semigroup_type
 
@@ -88,12 +98,29 @@ class ConstructionData:
         return data
 
 
+def _residue_family(
+    ell: int, n1: int, n2: int, t1: int, t2: int,
+    s_family: dict[tuple[int, int], int], r_family: dict[tuple[int, int], int],
+) -> tuple[int, ...]:
+    """The nonzero Apery elements, ascending: k*n1 (k <= ell), n2, both families, t1, t2."""
+    out = {k * n1 for k in range(1, ell + 1)}
+    out.add(n2)
+    out.update(s_family.values())
+    out.update(r_family.values())
+    out.update({t1, t2})
+    return tuple(sorted(out))
+
+
 def construct_asd(ell: int) -> ConstructionData:
     """Build the level-``ell`` almost symmetric semigroup with decreasing Hilbert function.
 
     Raises EllTooSmall below 4 and ExcludedEll on the obstructed residue
-    classes.  Every structural count is asserted at build time, so a wrong
-    family would fail loudly rather than return a plausible semigroup.
+    classes.  The Apery vector is filled from the family, which must meet
+    each nonzero class mod e exactly once (this also fails when
+    gcd(e, n1, n2) > 1), and certified against the generators; nothing is
+    rebuilt by :meth:`NumericalSemigroup.from_generators`.  Every structural
+    count is checked at build time, so a wrong family raises AssertionError
+    rather than return a plausible semigroup.
     """
     if ell < 4:
         raise EllTooSmall(f"level must be at least 4, got {ell}")
@@ -127,8 +154,17 @@ def construct_asd(ell: int) -> ConstructionData:
     gamma = tuple(sorted(gamma_set))
     _certify(len(gamma) == e - ell - 1, "generating families collide unexpectedly")
 
-    semigroup = NumericalSemigroup.from_generators(gamma)
-    _certify(semigroup.min_gens == gamma, "construction produced a redundant generator")
+    _check_size(e, gamma[-1])
+    where = f"construction at level {ell}"
+    family = np.array(_residue_family(ell, n1, n2, t1, t2, s_family, r_family), dtype=np.int64)
+    classes = family % e
+    hits = np.bincount(classes, minlength=e)
+    _certify(hits[0] == 0 and (hits[1:] == 1).all(),
+             f"{where}: the Apery family does not meet each nonzero class mod {e} once")
+    w = np.zeros(e, dtype=np.int64)
+    w[classes] = family
+    _certify_generators(gamma, w, where)
+    semigroup = NumericalSemigroup(gamma, w)
     _certify(t2 in semigroup.min_gens, "t2 is not a minimal generator")
     return ConstructionData(
         ell=ell,
@@ -197,21 +233,14 @@ class ConstructionCertificate:
         }
 
 
-def _residue_family(data: ConstructionData) -> tuple[int, ...]:
-    """The full Apery candidate family: k*n1 (k<=ell), n2, both families, t1, t2."""
-    out = {k * data.n1 for k in range(1, data.ell + 1)}
-    out.add(data.n2)
-    out.update(data.s_family.values())
-    out.update(data.r_family.values())
-    out.update({data.t1, data.t2})
-    return tuple(sorted(out))
-
-
 def verify_construction(ell: int) -> ConstructionCertificate:
     """Recompute every claimed property of the level-``ell`` construction.
 
     Each claim is recorded as expected/actual; a failed claim is reported,
-    never raised, so a certificate always comes back for admissible levels.
+    never raised.  The three family claims (size, distinct residues, equal
+    to the Apery set) are settled earlier: :func:`construct_asd` certifies
+    them while building the semigroup and raises on a wrong family, so they
+    are reported as passed or not reached at all.
     """
     data = construct_asd(ell)
     S = data.semigroup
@@ -238,7 +267,7 @@ def verify_construction(ell: int) -> ConstructionCertificate:
         claims.append(Claim(f"apery_stratum_{k}", (k * n1,), apery.stratum(k)))
     claims.append(Claim("apery_max_order", ell, apery.max_order))
 
-    family = _residue_family(data)
+    family = _residue_family(ell, n1, n2, data.t1, data.t2, data.s_family, data.r_family)
     claims.append(Claim("family_size", e - 1, len(family)))
     claims.append(
         Claim("family_distinct_residues", e - 1, len({x % e for x in family}))

@@ -16,7 +16,9 @@ lists a set class by class, and :func:`_min_plus` combines vectors by one
 min-plus gather over all e classes; semigroup and ideal arithmetic and
 pseudo-Frobenius numbers reduce to it.  The Hilbert rows of
 :mod:`numsgps.hilbert` do not: ``_rows`` gathers only over the frontier of
-classes that stayed put at the last level.
+classes that stayed put at the last level.  A semigroup given in closed
+form, its Apery vector and generators read off a formula rather than found
+by the round robin, is checked by two gathers in :func:`_certify_generators`.
 """
 
 from __future__ import annotations
@@ -130,6 +132,27 @@ def _relax(w: np.ndarray, g: int) -> None:
     np.minimum.accumulate(best, axis=1, out=best)
     best += steps
     w[index[:, :length]] = np.minimum(best[:, :length], best[:, length:])
+
+
+def _certify_generators(G: tuple[int, ...], w: np.ndarray, where: str) -> None:
+    """G must be the minimal generators of the set T with Apery vector ``w``.
+
+    With m = len(w), min+(w, G) is the Apery vector of T + G.  It equals w
+    with w[0] = m, the vector of T \\ {0}, exactly when every positive
+    member of T is a smaller member plus some g; with G inside T that gives
+    T = <G>.  Then min+ once more is the vector of M + M with M = T \\ {0},
+    and g is a minimal generator exactly when it lies below that.  ``where``
+    names the route whose closed form is being certified.
+    """
+    m = len(w)
+    g = np.asarray(G, dtype=np.int64)
+    maximal = w.copy()
+    maximal[0] = m
+    reached = _min_plus(w, g)
+    _certify(_members(w, g).all() and np.array_equal(reached, maximal),
+             f"{where}: generators do not generate the closed-form Apery set")
+    _certify((g < _min_plus(reached, g)[g % m]).all(),
+             f"{where}: a generator is a sum of two others")
 
 
 def _round_robin(glist: list[int]) -> tuple[tuple[int, ...], np.ndarray]:

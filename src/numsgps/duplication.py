@@ -28,6 +28,7 @@ from .core import (
     NumericalSemigroup,
     SemigroupError,
     _certify,
+    _certify_generators,
     _check_size,
     _members,
     _min_plus,
@@ -100,28 +101,8 @@ def numerical_duplication(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> Nu
     w = np.full(m, _UNREACHED, dtype=np.int64)
     np.minimum.at(w, u % m, u)
     _relax(w, 2 * S.multiplicity)
-    _certify_generators(G, w)
+    _certify_generators(G, w, "duplication")
     return NumericalSemigroup(G, w)
-
-
-def _certify_generators(G: tuple[int, ...], w: np.ndarray) -> None:
-    """G must be the minimal generators of the set T with Apery vector ``w``.
-
-    With m = len(w), min+(w, G) is the Apery vector of T + G.  It equals w
-    with w[0] = m, the vector of T \\ {0}, exactly when every positive
-    member of T is a smaller member plus some g; with G inside T that gives
-    T = <G>.  Then min+ once more is the vector of M + M with M = T \\ {0},
-    and g is a minimal generator exactly when it lies below that.
-    """
-    m = len(w)
-    g = np.asarray(G, dtype=np.int64)
-    maximal = w.copy()
-    maximal[0] = m
-    reached = _min_plus(w, g)
-    _certify(_members(w, g).all() and np.array_equal(reached, maximal),
-             "duplication generators do not generate its closed-form Apery set")
-    _certify((g < _min_plus(reached, g)[g % m]).all(),
-             "a duplication generator is a sum of two others")
 
 
 def predicted_duplication_hilbert(

@@ -1,5 +1,10 @@
+import sys
+
+import numpy as np
 import pytest
 
+import numsgps.construction
+import numsgps.core
 from numsgps import (
     EllTooSmall,
     ExcludedEll,
@@ -10,6 +15,8 @@ from numsgps import (
     is_excluded_level,
     verify_construction,
 )
+
+from conftest import _exit_under_python_O
 
 EXPECTED_L4 = (32, 33, 38, 69, 72, 73, 74, 75, 77, 78, 79, 80, 81, 82, 83, 84,
                85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95)
@@ -126,3 +133,66 @@ def test_certificate_json_shape():
     data = cert.to_json()
     assert data["all_passed"] is True
     assert all({"name", "expected", "actual", "pass"} <= set(c) for c in data["claims"])
+
+
+def test_apery_build_matches_round_robin():
+    # the round robin stays the reference for the closed-form Apery build
+    for ell in range(4, 41):
+        if is_excluded_level(ell):
+            continue
+        d = construct_asd(ell)
+        reference = NumericalSemigroup.from_generators(d.gamma)
+        assert d.semigroup.min_gens == reference.min_gens, ell
+        assert np.array_equal(d.semigroup.w, reference.w), ell
+
+
+def test_construction_builds_no_semigroup_from_generators(monkeypatch):
+    build = NumericalSemigroup.from_generators.__func__
+
+    def guarded(cls, gens):
+        if sys._getframe(1).f_globals["__name__"] == "numsgps.construction":
+            raise RuntimeError("construction rebuilt from generators")
+        return build(cls, gens)
+
+    monkeypatch.setattr(NumericalSemigroup, "from_generators", classmethod(guarded))
+    assert construct_asd(6).semigroup.embedding_dimension == 6 * 6 + 2 * 6 + 3
+
+
+# level 6: e = 58, and 6 * n1 is the largest family member
+_LIFT_TOP = (
+    "family = numsgps.construction._residue_family\n"
+    "def lifted(ell, n1, *rest):\n"
+    "    return tuple(x + 58 if x == ell * n1 else x for x in family(ell, n1, *rest))\n"
+    "numsgps.construction._residue_family = lifted"
+)
+
+
+def test_wrong_family_raises(monkeypatch):
+    family = numsgps.construction._residue_family
+    monkeypatch.setattr(
+        numsgps.construction, "_residue_family",
+        lambda ell, n1, *rest: tuple(x + 58 if x == ell * n1 else x for x in family(ell, n1, *rest)),
+    )
+    with pytest.raises(AssertionError, match="construction at level 6: generators do not generate"):
+        construct_asd(6)
+
+
+def test_wrong_family_fires_under_python_O():
+    proc = _exit_under_python_O(_LIFT_TOP, ["construct", "--ell", "6", "--verify"])
+    assert proc.returncode == 4, proc.stderr
+    assert "construction at level 6: generators do not generate" in proc.stderr
+
+
+def test_family_must_cover_each_class_once(monkeypatch):
+    family = numsgps.construction._residue_family
+    monkeypatch.setattr(numsgps.construction, "_residue_family", lambda *a: family(*a)[1:])
+    with pytest.raises(AssertionError, match="construction at level 6: the Apery family"):
+        construct_asd(6)
+
+
+def test_construction_size_guard(monkeypatch):
+    monkeypatch.setattr(numsgps.core, "MULTIPLICITY_LIMIT", 31)
+    # the guard fires before the family is built
+    monkeypatch.setattr(numsgps.construction, "_residue_family", None)
+    with pytest.raises(ValueError, match="multiplicity 32 exceeds"):
+        construct_asd(4)

@@ -38,7 +38,8 @@ from numsgps import (
 )
 
 from numsgps.construction import is_excluded_level
-from numsgps.duplication import _certify_generators, _doubled_hilbert
+from numsgps.core import _certify_generators
+from numsgps.duplication import _doubled_hilbert
 
 from conftest import _exit_under_python_O, random_semigroup
 
@@ -430,23 +431,23 @@ def test_duplication_gathers_generators_once(monkeypatch):
 def test_certificate_rejects_a_dropped_generator():
     S = construct_asd(4).semigroup
     T = numerical_duplication(S, standard_canonical_ideal(S).shift(101), 33)
-    _certify_generators(T.min_gens, T.w)
+    _certify_generators(T.min_gens, T.w, "duplication")
     for drop in (0, 1, len(T.min_gens) - 1):
         G = T.min_gens[:drop] + T.min_gens[drop + 1:]
         with pytest.raises(AssertionError, match="do not generate"):
-            _certify_generators(G, T.w)
+            _certify_generators(G, T.w, "duplication")
     with pytest.raises(AssertionError, match="sum of two others"):
-        _certify_generators(T.min_gens + (2 * T.min_gens[0],), T.w)
+        _certify_generators(T.min_gens + (2 * T.min_gens[0],), T.w, "duplication")
 
 
 def test_certificate_fires_under_python_O():
     proc = _exit_under_python_O(
         "check = numsgps.duplication._certify_generators\n"
-        "numsgps.duplication._certify_generators = lambda G, w: check(G[:-1], w)",
+        "numsgps.duplication._certify_generators = lambda G, w, where: check(G[:-1], w, where)",
         ["duplicate", "@ex2_10_l4", "--ideal", "canonical+101", "--b", "33"],
     )
     assert proc.returncode == 4, proc.stderr
-    assert "do not generate" in proc.stderr
+    assert "duplication: generators do not generate" in proc.stderr
 
 
 def test_duplication_size_guards(monkeypatch):
