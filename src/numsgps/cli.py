@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .construction import EllTooSmall, ExcludedEll, construct_asd, verify_construction
+from .construction import EllTooSmall, ExcludedEll, _verify, construct_asd
 from .core import GcdError, NotMember, NumericalSemigroup, parse_generators
 from .duplication import (
     BNotInS,
@@ -195,7 +195,7 @@ def cmd_construct(args) -> int:
     if not args.json:
         lines.append(f"gamma: {list(data.gamma)}")
     if args.verify:
-        cert = verify_construction(args.ell)
+        cert = _verify(data)
         payload["certificate"] = cert.to_json()
         lines.append(f"certificate: {'all claims pass' if cert.all_passed else 'FAILURES'}")
         for claim in cert.claims:

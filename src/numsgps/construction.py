@@ -238,13 +238,15 @@ def verify_construction(ell: int) -> ConstructionCertificate:
 
     Each claim is recorded as expected/actual; a failed claim is reported,
     never raised.  The three family claims (size, distinct residues, equal
-    to the Apery set) are settled earlier: :func:`construct_asd` certifies
-    them while building the semigroup and raises on a wrong family, so they
-    are reported as passed or not reached at all.
+    to the Apery set) restate the build certificate: :func:`construct_asd`
+    fills S.w from the family and raises on a wrong one, so they pass if reached.
     """
-    data = construct_asd(ell)
-    S = data.semigroup
-    e, n1, n2 = data.e, data.n1, data.n2
+    return _verify(construct_asd(ell))
+
+
+def _verify(data: ConstructionData) -> ConstructionCertificate:
+    """The claims of :func:`verify_construction` on an already built construction."""
+    ell, S, e, n1, n2 = data.ell, data.semigroup, data.e, data.n1, data.n2
     nu_expected = ell * ell + 2 * ell + 3
     claims: list[Claim] = []
 
@@ -267,7 +269,7 @@ def verify_construction(ell: int) -> ConstructionCertificate:
         claims.append(Claim(f"apery_stratum_{k}", (k * n1,), apery.stratum(k)))
     claims.append(Claim("apery_max_order", ell, apery.max_order))
 
-    family = _residue_family(ell, n1, n2, data.t1, data.t2, data.s_family, data.r_family)
+    family = apery.elements[1:]  # S.w was filled from the family at build time
     claims.append(Claim("family_size", e - 1, len(family)))
     claims.append(
         Claim("family_distinct_residues", e - 1, len({x % e for x in family}))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -119,15 +120,15 @@ def _apery_summary(S: NumericalSemigroup) -> tuple[tuple[int, ...], np.ndarray]:
 def _orders(S: NumericalSemigroup, s: np.ndarray) -> np.ndarray:
     """ord(s) = #{k >= 1 : s >= W_k[s mod e]} elementwise; -1 off S.
 
-    Rows past W_R grow by e per level, so the levels k > R add
-    max(0, (s - W_R[s mod e]) // e).
+    W_k >= k e, so the walk stops at level max(s) // e, or at W_R if that
+    comes first: rows past W_R grow by e per level, so the levels k > R add
+    max(0, (s - W_R[s mod e]) // e), which is 0 when the walk stopped first.
     """
     e = S.multiplicity
     r = s % e
     orders = np.where(s >= S.w[r], 0, -1)
-    rows = _rows(S)
-    next(rows)
-    for row in rows:
+    row = S.w
+    for row in islice(_rows(S), 1, int(s.max(initial=0)) // e + 1):
         orders += s >= row[r]
     return orders + np.maximum((s - row[r]) // e, 0)
 
@@ -281,6 +282,14 @@ def decrease_levels(H: HilbertFunction) -> tuple[int, ...]:
 # Apery set and layer sets
 # ---------------------------------------------------------------------------
 
+def _grouped(keys: np.ndarray, values: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """The values under each key, ascending, keys ascending: one lexsort, one split."""
+    order = np.lexsort((values, keys))
+    keys, starts = np.unique(keys[order], return_index=True)
+    groups = np.split(values[order], starts[1:])
+    return {k: tuple(v.tolist()) for k, v in zip(keys.tolist(), groups)}
+
+
 @dataclass(frozen=True)
 class AperyTable:
     """The e smallest members per residue class mod e, with their orders."""
@@ -310,14 +319,9 @@ def apery_table(S: NumericalSemigroup) -> AperyTable:
     An Apery element a = W_0[r] lies in kM exactly when W_k[r] = W_0[r].
     """
     apery_orders = _apery_summary(S)[1]
-    orders = {int(a): int(o) for a, o in sorted(zip(S.w, apery_orders))}
+    orders = dict(sorted(zip(S.w.tolist(), apery_orders.tolist())))
     elements = tuple(orders)
-
-    grouped: dict[int, list[int]] = {}
-    for a in elements:
-        if a != 0:
-            grouped.setdefault(orders[a], []).append(a)
-    strata = {k: tuple(v) for k, v in sorted(grouped.items())}
+    strata = _grouped(apery_orders[1:], S.w[1:])  # class 0 holds 0, of order 0
 
     _certify(len(elements) == S.multiplicity and elements[0] == 0, "malformed Apery set")
     _certify(strata.get(1, ()) == tuple(g for g in S.min_gens if g != S.multiplicity),
@@ -358,6 +362,8 @@ def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
     member of order <= k_max (each C_k element, each D_k element and its
     s + e) is on the grid.  s - e and s + e are the neighbouring columns;
     column 0 has s - e outside S, and the last column's s + e is never read.
+    The grid is grouped once (C_k by order, D_k by order + 1, D_k^t by (k, t)),
+    and one grouping of Ap_k and the D_h^k + e, h < k, checks that they split C_k.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -369,29 +375,23 @@ def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
     above = np.full_like(orders, -1)  # ord(s + e); -1 past the grid
     above[:, :-1] = orders[:, 1:]
 
-    c_sets: dict[int, tuple[int, ...]] = {}
-    d_sets: dict[int, tuple[int, ...]] = {}
-    d_refined: dict[int, dict[int, tuple[int, ...]]] = {}
-    for k in range(2, k_max + 1):
-        c_sets[k] = tuple(np.sort(grid[(orders == k) & (below < k - 1)]).tolist())
-        d_mask = (orders == k - 1) & (above > k)
-        d_elems, landing = grid[d_mask], above[d_mask]
-        ascending = np.argsort(d_elems)
-        d_elems, landing = d_elems[ascending], landing[ascending]
-        d_sets[k] = tuple(d_elems.tolist())
-        d_refined[k] = {int(t): tuple(d_elems[landing == t].tolist()) for t in np.unique(landing)}
+    in_c = (orders >= 2) & (orders <= k_max) & (below < orders - 1)
+    c_grouped = _grouped(orders[in_c], grid[in_c])
+    in_d = (orders >= 1) & (orders < k_max) & (above > orders + 1)
+    d_elems, d_levels, landing = grid[in_d], orders[in_d] + 1, above[in_d]
+    d_grouped = _grouped(d_levels, d_elems)
+    base = int(landing.max(initial=0)) + 1  # above every t, so k * base + t is one-to-one
+    d_refined: dict[int, dict[int, tuple[int, ...]]] = {k: {} for k in range(2, k_max + 1)}
+    for key, v in _grouped(d_levels * base + landing, d_elems).items():
+        d_refined[key // base][key % base] = v
 
-    _assert_layer_identities(S, c_sets, d_refined, k_max)
-    return LayerSets(c_sets=c_sets, d_sets=d_sets, d_refined=d_refined)
-
-
-def _assert_layer_identities(S, c_sets, d_refined, k_max):
-    """C_k must equal Ap_k plus the shifted D_h^k layers, disjointly."""
-    e = S.multiplicity
-    apery = apery_table(S)
-    for k in range(2, k_max + 1):
-        pieces = [set(apery.stratum(k))]
-        pieces += [{s + e for s in d_refined.get(h, {}).get(k, ())} for h in range(2, k)]
-        union = set().union(*pieces)
-        _certify(sum(map(len, pieces)) == len(union), f"C_{k} pieces overlap")
-        _certify(union == set(c_sets[k]), f"C_{k} does not match its decomposition")
+    strata = [(k, a) for k, v in apery_table(S).strata.items() if 2 <= k <= k_max for a in v]
+    ap_levels, ap = np.array(strata, dtype=np.int64).reshape(-1, 2).T
+    lands = landing <= k_max
+    pieces = _grouped(np.r_[ap_levels, landing[lands]], np.r_[ap, d_elems[lands] + e])
+    for k in sorted(pieces.keys() | c_grouped.keys()):
+        piece = pieces.get(k, ())
+        _certify(len(set(piece)) == len(piece), f"C_{k} pieces overlap")
+        _certify(piece == c_grouped.get(k, ()), f"C_{k} does not match its decomposition")
+    return LayerSets(c_sets={k: c_grouped.get(k, ()) for k in d_refined},
+                     d_sets={k: d_grouped.get(k, ()) for k in d_refined}, d_refined=d_refined)

@@ -215,9 +215,9 @@ def is_canonical_ideal(E: RelativeIdeal) -> bool:
 
 
 def is_symmetric(S: NumericalSemigroup) -> bool:
-    """K(S) = S; checked against the equivalent condition type = 1."""
+    """K(S) = S; checked against Selmer's equivalent condition 2g = F + 1."""
     sym = standard_canonical_ideal(S) == semigroup_as_ideal(S)
-    _certify(sym == (semigroup_type(S) == 1), "K(S) = S disagrees with type 1")
+    _certify(sym == (2 * S.genus == S.frobenius + 1), "K(S) = S disagrees with Selmer's 2g = F + 1")
     return sym
 
 

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import numsgps.cli
 import numsgps.construction
 import numsgps.core
 from numsgps import (
@@ -196,3 +197,18 @@ def test_construction_size_guard(monkeypatch):
     monkeypatch.setattr(numsgps.construction, "_residue_family", None)
     with pytest.raises(ValueError, match="multiplicity 32 exceeds"):
         construct_asd(4)
+
+
+def test_construct_verify_builds_once(monkeypatch, capsys):
+    builds = []
+    build = numsgps.construction.construct_asd
+
+    def counted(ell):
+        builds.append(ell)
+        return build(ell)
+
+    monkeypatch.setattr(numsgps.cli, "construct_asd", counted)
+    monkeypatch.setattr(numsgps.construction, "construct_asd", counted)
+    assert numsgps.cli.main(["construct", "--ell", "6", "--verify"]) == 0
+    assert "certificate: all claims pass" in capsys.readouterr().out
+    assert builds == [6]

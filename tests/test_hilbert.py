@@ -357,12 +357,40 @@ def test_two_large_generators_layers_in_bounded_memory():
 @example([5, 7, 18], 1)
 # D_3 splits over the landing orders 4 and 5; random small semigroups rarely do
 @example(list(fixture_semigroup("ex3_9_nonproper").min_gens), 1)
+# k_max = 2, and D_2 lands at order 4 = k_max + 2: a (k, t) key of base k_max + 2 collides
+@example([5, 6, 19], 0)
 @settings(max_examples=50, deadline=None)
 def test_layer_sets_match_brute(gens, extra):
     S = NumericalSemigroup.from_generators(gens)
     # k_max from 2 to e + 3, past the reduction index (at most e)
     k_max = 2 + extra % (S.multiplicity + 2)
     assert layer_sets(S, k_max) == brute_layer_sets(S.min_gens, k_max)
+
+
+def test_layer_sets_many_levels_in_bounded_memory():
+    # the grid is grouped once, so 10^5 levels cost O(e k_max), not one grid scan per level
+    proc = run_capped_cli(["hilbert", "4,5", "--hmax", "100000", "--layers"])
+    assert proc.returncode == 0, proc.stderr
+    assert "C_100000 = [" in proc.stdout
+
+
+def test_order_table_reads_no_row_past_its_bound(monkeypatch):
+    # W_k >= k e, so [0, 3000) needs W_0, W_1, W_2 of the 1010 rows of <1009, 1013>
+    read = []
+    rows = numsgps.hilbert._rows
+
+    def counted(S):
+        for row in rows(S):
+            read.append(1)
+            yield row
+
+    monkeypatch.setattr(numsgps.hilbert, "_rows", counted)
+    S = NumericalSemigroup.from_generators([1009, 1013])
+    got = order_table(S, 3000)
+    assert len(read) == 3
+    want = brute_orders(S.min_gens, 3000)
+    assert {s: int(got[s]) for s in range(3000) if got[s] >= 0} == want
+    assert all(got[s] == -1 for s in range(3000) if s not in want)
 
 
 def test_layer_sets_memory_independent_of_conductor():
@@ -394,6 +422,19 @@ def test_layer_certificate_fires_under_python_O():
     )
     assert proc.returncode == 4, proc.stderr
     assert "does not match its decomposition" in proc.stderr
+
+
+def test_layer_overlap_certificate_fires(monkeypatch):
+    table = numsgps.hilbert.apery_table
+
+    def doubled(S):
+        ap = table(S)
+        strata = {k: v + v for k, v in ap.strata.items()}
+        return numsgps.hilbert.AperyTable(ap.elements, ap.orders, strata)
+
+    monkeypatch.setattr(numsgps.hilbert, "apery_table", doubled)
+    with pytest.raises(AssertionError, match="C_2 pieces overlap"):
+        layer_sets(NumericalSemigroup.from_generators([4, 6, 7]), 5)
 
 
 def test_witness_certificate_fires_under_python_O():

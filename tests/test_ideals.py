@@ -26,7 +26,7 @@ from numsgps import (
 from numsgps.cli import main
 from numsgps.ideals import RelativeIdeal
 
-from conftest import brute_members, random_semigroup
+from conftest import _exit_under_python_O, brute_members, random_semigroup
 
 S23 = NumericalSemigroup.from_generators([2, 3])
 
@@ -147,6 +147,25 @@ def test_symmetry_flags():
     for S in (S23, construct_asd(4).semigroup):
         if is_symmetric(S):
             assert is_almost_symmetric(S)
+
+
+def test_symmetry_needs_no_pseudo_frobenius(monkeypatch):
+    # the second route is Selmer's 2g = F + 1, not type 1
+    def refuse(S):
+        raise RuntimeError("pseudo_frobenius called")
+
+    monkeypatch.setattr(numsgps.ideals, "pseudo_frobenius", refuse)
+    assert is_symmetric(NumericalSemigroup.from_generators([3, 5]))
+    assert not is_symmetric(NumericalSemigroup.from_generators([3, 4, 5]))
+
+
+def test_symmetry_certificate_fires_under_python_O():
+    proc = _exit_under_python_O(
+        "numsgps.ideals.standard_canonical_ideal = numsgps.ideals.maximal_ideal",
+        ["info", "3,5"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "K(S) = S disagrees with Selmer's 2g = F + 1" in proc.stderr
 
 
 def test_almost_symmetric_fixture_flags():
