@@ -83,10 +83,8 @@ def _resolve_ideal(S: NumericalSemigroup, descriptor: str) -> RelativeIdeal:
 
 
 def _hilbert_text(values, stable_from) -> str:
-    parts = [str(v) for v in values]
-    if stable_from is not None:
-        parts = parts[: stable_from + 1] + ["->"]
-    return "[" + ", ".join(parts) + "]"
+    shown = values if stable_from is None else values[: stable_from + 1] + ("->",)
+    return "[" + ", ".join(map(str, shown)) + "]"
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> int:
@@ -143,7 +141,8 @@ def cmd_hilbert(args) -> int:
         )
     if args.layers:
         layers = layer_sets(S, max(args.hmax, 2))
-        payload["layers"] = layers.to_json()
+        if args.json:
+            payload["layers"] = layers.to_json()
         for k in sorted(layers.c_sets):
             lines.append(f"C_{k} = {list(layers.c_sets[k])}")
             lines.append(f"D_{k} = {list(layers.d_sets[k])}")

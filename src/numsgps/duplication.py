@@ -18,8 +18,6 @@ more than any prescribed amount.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .core import (
     _relax,
 )
 from .construction import construct_asd, is_excluded_level
-from .hilbert import HilbertFunction, _certified, hilbert_through_stabilization
+from .hilbert import HilbertFunction, _from_rows, hilbert_through_stabilization
 from .ideals import (
     RelativeIdeal,
     is_symmetric,
@@ -235,21 +233,6 @@ class WitnessReport:
         }
 
 
-def _checked_by_formula(
-    T: NumericalSemigroup, h_min: int, predict: Callable[[int], HilbertFunction], where: str
-) -> HilbertFunction:
-    """T's H through stabilization off its own rows, checked against ``predict``.
-
-    ``predict(h_max)`` pushes the parent's certified H through a duplication
-    formula and never reads T's rows; values and ``stable_from`` must agree.
-    """
-    def check(_: NumericalSemigroup, H: HilbertFunction) -> None:
-        _certify(H == predict(H.h_max),
-                 f"Apery-row and duplication-formula Hilbert values disagree at {where}")
-
-    return _certified(T, h_min, extend=True, check=check)
-
-
 def _witness_seed(level: int) -> tuple[str, NumericalSemigroup]:
     """Seed semigroup for the requested level."""
     from .fixtures import fixture_semigroup
@@ -295,15 +278,17 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
     steps = [ChainStep(index=0, b=None, semigroup=seed, type=semigroup_type(seed),
                        hilbert=hilbert_through_stabilization(seed, level + 1))]
     for idx, (b, S) in enumerate(zip(bs, semigroups[1:]), start=1):
-        H = _checked_by_formula(S, level + 1, partial(_doubled_hilbert, steps[-1].hilbert),
-                                f"chain step {idx}")
+        H = _from_rows(S, level + 1, extend=True)
+        _certify(H == _doubled_hilbert(steps[-1].hilbert, H.h_max),
+                 f"Apery-row and duplication-formula Hilbert values disagree at chain step {idx}")
         steps.append(ChainStep(index=idx, b=b, semigroup=S, type=semigroup_type(S), hilbert=H))
 
     last, final_b = steps[-1], bs[-1]
     E = standard_canonical_ideal(last.semigroup).shift(last.semigroup.frobenius + 1)
     final = numerical_duplication(last.semigroup, E, final_b)
-    predict = partial(predicted_duplication_hilbert, last.hilbert, last.type)
-    H_final = _checked_by_formula(final, level + 1, predict, "the final duplication")
+    H_final = _from_rows(final, level + 1, extend=True)
+    _certify(H_final == predicted_duplication_hilbert(last.hilbert, last.type, H_final.h_max),
+             "Apery-row and duplication-formula Hilbert values disagree at the final duplication")
     achieved = H_final.value_at(level - 1) - H_final.value_at(level)
     _certify(is_symmetric(final), "witness output must be symmetric")
     _certify(achieved > drop, f"drop {achieved} does not exceed the target {drop}")

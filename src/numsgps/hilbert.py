@@ -17,15 +17,18 @@ by 0 or e, H(k) = e exactly when every class rises at level k + 1, that is
 when k + 1 >= R.  So H(k) = e if and only if k >= R - 1, and
 ``stable_from`` is R - 1.
 
-Each public Hilbert call also builds the ideal powers hM as integer
-bitsets, each on its own window [he, he + W) with W = ceil((c + e) / e) e,
-reaches (h+1)M by one right shift per generator, and insists that the
-H(h) = |hM \\ (h+1)M| counted there (one popcount per level) agree with the
-rows.  That route never looks at the rows, so agreement is a genuine
-cross-check.  A caller that already knows H from elsewhere can hand the
-private ``_certified`` that route instead: the witness procedure checks
-each duplication's rows against its parent's certified H pushed through
-the duplication formula, and runs the oracle on the seed only.
+The rows are walked once per semigroup, on demand: the cached ``_walk``
+resumes where the last call stopped, so ``hilbert_function(S, h_max)``
+builds at most h_max + 2 rows.  ``_from_rows`` reads their values, and each
+caller runs its own certificate.  Public Hilbert calls build the ideal
+powers hM as integer bitsets, each on its own window [he, he + W) with
+W = ceil((c + e) / e) e, reach (h+1)M by one right shift per generator, and
+insist that the H(h) = |hM \\ (h+1)M| counted there (one popcount per level)
+agree with the rows through ``stable_from`` (h_max without one).  That route
+never reads the rows, and its H(R-1) = e and H(R-2) < e pin R, so every
+later value.  The witness instead checks each duplication's rows against
+its parent's certified H pushed through the duplication formula, and runs
+the oracle on the seed only.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .core import _GATHER_CELLS, NotMember, NumericalSemigroup, SemigroupError, _certify
+from .core import (
+    _GATHER_CELLS, LISTING_LIMIT, NotMember, NumericalSemigroup, SemigroupError, _certify,
+)
 
 
 class NotStabilized(SemigroupError):
@@ -97,24 +102,37 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
         row = nxt
 
 
-@lru_cache(maxsize=64)
-def _apery_summary(S: NumericalSemigroup) -> tuple[tuple[int, ...], np.ndarray]:
-    """What one walk over the rows leaves behind: H(0..R-1) and the Apery orders.
+class _Walk:
+    """The rows of one semigroup, read as far as asked; resumable.
 
-    H(k) = sum(W_{k+1} - W_k) / e, and the Apery element W_0[r] has order
-    #{k >= 1 : W_k[r] = W_0[r]}; the orders come back read-only.
+    With W_k the last row read, ``counts`` is H(0..k-1), H(j) = sum(W_{j+1} -
+    W_j) / e, and ``apery_orders[r]`` is #{1 <= j <= k : W_j[r] = W_0[r]}.  At
+    W_R, where H(R-1) = e first, the walk drops its row generator.
     """
-    e = S.multiplicity
-    rows = _rows(S)
-    prev = next(rows)
-    counts = []
-    apery_orders = np.zeros(e, dtype=np.int64)
-    for row in rows:
-        counts.append(int((row - prev).sum()) // e)
-        apery_orders += row == S.w
-        prev = row
-    apery_orders.setflags(write=False)
-    return tuple(counts), apery_orders
+
+    def __init__(self, S: NumericalSemigroup):
+        self.rows = _rows(S)
+        self.w = self.row = next(self.rows)
+        self.counts: list[int] = []
+        self.apery_orders = np.zeros(len(self.w), dtype=np.int64)
+
+    def to(self, levels: int | None) -> _Walk:
+        """Read rows until H(0..levels-1) is known, or through W_R if ``levels`` is None."""
+        while self.rows is not None and (levels is None or len(self.counts) < levels):
+            try:
+                row = next(self.rows)
+            except BaseException:  # a generator that raised cannot resume: walk afresh next time
+                _walk.cache_clear()
+                raise
+            self.counts.append(int((row - self.row).sum()) // len(row))
+            self.apery_orders += row == self.w
+            self.row = row
+            if self.counts[-1] == len(row):
+                self.rows = None
+        return self
+
+
+_walk = lru_cache(maxsize=64)(_Walk)  # the one walk per semigroup that every call shares
 
 
 def _orders(S: NumericalSemigroup, s: np.ndarray) -> np.ndarray:
@@ -225,33 +243,27 @@ class HilbertFunction:
         return {"values": list(self.values), "stable_from": self.stable_from}
 
 
-def _set_construction_check(S: NumericalSemigroup, H: HilbertFunction) -> None:
-    """The oracle route: every value of H must match the bitset ideal powers.
+def _from_rows(S: NumericalSemigroup, h_max: int, extend: bool) -> HilbertFunction:
+    """H(0..h_max) off the rows, through ``stable_from`` as well if ``extend``; unchecked.
 
-    When ``stable_from`` is within the values, this covers H(R-1) = e and,
-    for R >= 2, H(R-2) < e, which by the lemma above pin it down.
+    The walk runs to h_max + 1 levels, or to W_R if ``extend``.  ValueError
+    past LISTING_LIMIT levels, before any row is built.
     """
-    _certify(list(H.values) == hilbert_by_set_construction(S, H.h_max),
-             "Apery-row and set-construction Hilbert values disagree")
-
-
-def _certified(
-    S: NumericalSemigroup, h_max: int, extend: bool,
-    check: Callable[[NumericalSemigroup, HilbertFunction], None] = _set_construction_check,
-) -> HilbertFunction:
-    """H(0..h_max) off the rows, through ``stable_from`` as well if ``extend``.
-
-    The rows give H(0..R-1), and by the lemma above H(h) = e exactly from
-    R - 1 on, so ``stable_from`` is R - 1 (None past h_max).  ``check(S, H)``
-    is the second route, which must not read the rows: the oracle unless a
-    caller has the values from elsewhere (a duplication's formula).
-    """
-    counts = _apery_summary(S)[0]
-    start = len(counts) - 1
+    if h_max > LISTING_LIMIT:
+        raise ValueError(f"h_max {h_max} exceeds the supported range 2**22")
+    counts = _walk(S).to(None if extend else h_max + 1).counts
+    # stable_from is R - 1 once W_R is read; short of it, R - 1 >= len(counts) > h_max
+    start = len(counts) - 1 if counts[-1] == S.multiplicity else len(counts)
     h_max = max(h_max, start) if extend else h_max
-    values = (counts + (S.multiplicity,) * (h_max + 1))[: h_max + 1]
-    H = HilbertFunction(values=values, stable_from=start if start <= h_max else None)
-    check(S, H)
+    values = tuple(counts[: h_max + 1]) + (S.multiplicity,) * (h_max + 1 - len(counts))
+    return HilbertFunction(values=values, stable_from=start if start <= h_max else None)
+
+
+def _oracle_checked(S: NumericalSemigroup, H: HilbertFunction) -> HilbertFunction:
+    """H, once the oracle agrees through ``stable_from`` (h_max without one), which pins R."""
+    n = H.h_max if H.stable_from is None else H.stable_from
+    _certify(list(H.values[: n + 1]) == hilbert_by_set_construction(S, n),
+             "Apery-row and set-construction Hilbert values disagree")
     return H
 
 
@@ -259,23 +271,23 @@ def hilbert_function(S: NumericalSemigroup, h_max: int) -> HilbertFunction:
     """Exact H(0..h_max) with a certified ``stable_from`` marker."""
     if h_max < 1:
         raise ValueError("h_max must be at least 1")
-    return _certified(S, h_max, extend=False)
+    return _oracle_checked(S, _from_rows(S, h_max, extend=False))
 
 
 def hilbert_through_stabilization(S: NumericalSemigroup, h_min: int = 1) -> HilbertFunction:
     """Hilbert values extended far enough that ``stable_from`` is present."""
-    return _certified(S, max(h_min, 1), extend=True)
+    return _oracle_checked(S, _from_rows(S, max(h_min, 1), extend=True))
 
 
 def decrease_levels(H: HilbertFunction) -> tuple[int, ...]:
     """All levels h with H(h-1) > H(h), ascending.
 
     Requires a certified stable tail: past ``stable_from`` the function is
-    constant, so the returned list is complete.
+    constant, so the scan stops there and the returned list is complete.
     """
     if H.stable_from is None:
         raise NotStabilized("Hilbert function not computed through stabilization")
-    return tuple(h for h in range(1, len(H.values)) if H.values[h - 1] > H.values[h])
+    return tuple(h for h in range(1, H.stable_from + 1) if H.values[h - 1] > H.values[h])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +330,7 @@ def apery_table(S: NumericalSemigroup) -> AperyTable:
 
     An Apery element a = W_0[r] lies in kM exactly when W_k[r] = W_0[r].
     """
-    apery_orders = _apery_summary(S)[1]
+    apery_orders = _walk(S).to(None).apery_orders
     orders = dict(sorted(zip(S.w.tolist(), apery_orders.tolist())))
     elements = tuple(orders)
     strata = _grouped(apery_orders[1:], S.w[1:])  # class 0 holds 0, of order 0
@@ -364,10 +376,13 @@ def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
     column 0 has s - e outside S, and the last column's s + e is never read.
     The grid is grouped once (C_k by order, D_k by order + 1, D_k^t by (k, t)),
     and one grouping of Ap_k and the D_h^k + e, h < k, checks that they split C_k.
+    ValueError past LISTING_LIMIT grid cells, before any is built.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     e = S.multiplicity
+    if e * (k_max + 1) > LISTING_LIMIT:
+        raise ValueError(f"layer grid of {e * (k_max + 1)} cells exceeds the supported size 2**22")
     grid = S.w[:, None] + e * np.arange(k_max + 1)
     orders = _orders(S, grid)
     below = np.full_like(orders, -1)  # ord(s - e); -1 where s - e is not in S

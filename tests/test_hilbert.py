@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from numsgps import (
     layer_sets,
     order_table,
 )
-from numsgps.hilbert import _apery_summary, _rows
+from numsgps.hilbert import _rows, _walk
 
 from conftest import (
     _exit_under_python_O,
@@ -233,10 +234,7 @@ def test_order_table_past_reduction_matches_brute(gens):
     assert all(got[s] == -1 for s in range(bound) if s not in want)
 
 
-@given(semigroup_gens())
-@settings(max_examples=40, deadline=None)
-def test_apery_strata_match_brute(gens):
-    S = NumericalSemigroup.from_generators(gens)
+def _assert_apery_matches_brute(S):
     e = S.multiplicity
     bound = S.conductor + e
     orders = brute_orders(S.min_gens, bound)
@@ -249,6 +247,12 @@ def test_apery_strata_match_brute(gens):
     assert ap.elements == tuple(apery)
     assert ap.orders == {a: orders[a] for a in apery}
     assert ap.strata == dict(sorted(strata.items()))
+
+
+@given(semigroup_gens())
+@settings(max_examples=40, deadline=None)
+def test_apery_strata_match_brute(gens):
+    _assert_apery_matches_brute(NumericalSemigroup.from_generators(gens))
 
 
 @given(semigroup_gens(max_gen=12))
@@ -374,6 +378,25 @@ def test_layer_sets_many_levels_in_bounded_memory():
     assert "C_100000 = [" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "4,5", "--hmax", "100000000"],
+    ["duplicate", "4,5", "--ideal", "maximal", "--b", "5", "--hmax", "50000000"],
+    # 101 * 2000001 layer grid cells
+    ["hilbert", "101,103", "--hmax", "2000000", "--layers"],
+])
+def test_requests_past_the_listing_limit_fail_fast(argv):
+    proc = run_capped_cli(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the supported" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_large_hmax_pays_only_for_levels_through_stabilization():
+    proc = run_capped_cli(["hilbert", "4,5", "--hmax", "3000000"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "H = [1, 2, 3, 4, ->]\ndecrease levels: []\n"
+
+
 def test_order_table_reads_no_row_past_its_bound(monkeypatch):
     # W_k >= k e, so [0, 3000) needs W_0, W_1, W_2 of the 1010 rows of <1009, 1013>
     read = []
@@ -446,22 +469,108 @@ def test_witness_certificate_fires_under_python_O():
     assert "witness output must be symmetric" in proc.stderr
 
 
-def test_apery_rows_cached_and_read_only(monkeypatch):
+def test_apery_walk_cached_and_oracle_per_call(monkeypatch):
     oracle_calls = []
     oracle = numsgps.hilbert.hilbert_by_set_construction
     monkeypatch.setattr(numsgps.hilbert, "hilbert_by_set_construction",
                         lambda S, h_max: oracle_calls.append(h_max) or oracle(S, h_max))
     S = NumericalSemigroup.from_generators([5, 7, 9, 11])
     hilbert_through_stabilization(S, 4)
-    hits = _apery_summary.cache_info().hits
+    hits = _walk.cache_info().hits
     ap = apery_table(S)
-    assert _apery_summary.cache_info().hits == hits + 1
-    # the summary is shared, the oracle cross-check still runs on every Hilbert call
+    assert _walk.cache_info().hits == hits + 1
+    # the walk is shared, the oracle cross-check still runs on every Hilbert call
     hilbert_through_stabilization(S, 4)
     assert len(oracle_calls) == 2
     assert ap == apery_table(NumericalSemigroup.from_generators([5, 7, 9, 11]))
-    counts, apery_orders = _apery_summary(S)
-    assert isinstance(counts, tuple)
-    assert not apery_orders.flags.writeable
-    with pytest.raises(ValueError):
-        apery_orders[0] = 1
+
+
+def _count_rows(monkeypatch) -> list[int]:
+    """Start every walk afresh and record each row that ``_rows`` yields."""
+    read = []
+    rows = numsgps.hilbert._rows
+
+    def counted(S):
+        for row in rows(S):
+            read.append(1)
+            yield row
+
+    monkeypatch.setattr(numsgps.hilbert, "_rows", counted)
+    _walk.cache_clear()
+    return read
+
+
+def test_bounded_hilbert_call_reads_only_its_rows(monkeypatch):
+    # H(0..3) needs W_0..W_4 of the 30012 rows; H(h) = h + 1 for h < 30011 on <30011, 30013>
+    read = _count_rows(monkeypatch)
+    monkeypatch.setattr(numsgps.hilbert, "hilbert_by_set_construction",
+                        lambda S, h_max: list(range(1, h_max + 2)))
+    H = hilbert_function(NumericalSemigroup.from_generators([30011, 30013]), 3)
+    assert H == HilbertFunction(values=(1, 2, 3, 4), stable_from=None)
+    assert len(read) == 5
+    with pytest.raises(ValueError, match="exceeds the supported range 2\\*\\*22"):
+        hilbert_function(NumericalSemigroup.from_generators([4, 5]), (1 << 22) + 1)
+    assert len(read) == 5
+
+
+def test_walk_resumes_and_builds_each_row_once(monkeypatch):
+    # R = 3 on <5, 7, 9, 11>: W_0..W_3 are all the rows there are
+    read = _count_rows(monkeypatch)
+    S = NumericalSemigroup.from_generators([5, 7, 9, 11])
+    assert hilbert_function(S, 1).stable_from is None
+    assert len(read) == 3
+    assert hilbert_function(S, 2).stable_from == 2
+    assert len(read) == 4
+    apery_table(S)
+    assert len(read) == 4
+
+
+def test_interrupted_walk_is_walked_afresh(monkeypatch):
+    rows = numsgps.hilbert._rows
+
+    def interrupted(S):
+        yield from islice(rows(S), 2)
+        raise KeyboardInterrupt
+
+    S = NumericalSemigroup.from_generators([5, 7, 9, 11])
+    _walk.cache_clear()
+    monkeypatch.setattr(numsgps.hilbert, "_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        hilbert_through_stabilization(S)
+    monkeypatch.setattr(numsgps.hilbert, "_rows", rows)
+    assert hilbert_through_stabilization(S).values == tuple(brute_hilbert(S.min_gens, 2))
+
+
+def test_oracle_stops_at_stable_from(monkeypatch):
+    oracle_levels = []
+    oracle = numsgps.hilbert.hilbert_by_set_construction
+    monkeypatch.setattr(numsgps.hilbert, "hilbert_by_set_construction",
+                        lambda S, h_max: oracle_levels.append(h_max) or oracle(S, h_max))
+    H = hilbert_function(NumericalSemigroup.from_generators([4, 5]), 3_000_000)
+    assert (H.stable_from, H.h_max, H.value_at(3_000_000)) == (3, 3_000_000, 4)
+    assert oracle_levels == [3]
+    assert decrease_levels(H) == ()
+
+
+@given(semigroup_gens(max_gen=12),
+       st.lists(st.one_of(st.integers(min_value=1, max_value=14), st.none(),
+                          st.just("apery")), min_size=1, max_size=6))
+@example([5, 7, 9, 11], [1, 2, "apery", 5])
+@example([4, 5], [None, 1, 7])
+@settings(max_examples=40, deadline=None)
+def test_interleaved_calls_resume_the_walk(gens, calls):
+    # an int h is hilbert_function(S, h), None is hilbert_through_stabilization(S)
+    S = NumericalSemigroup.from_generators(gens)
+    _walk.cache_clear()
+    brute = brute_hilbert(S.min_gens, S.multiplicity + 14)
+    start = brute.index(S.multiplicity)
+    for call in calls:
+        if call == "apery":
+            _assert_apery_matches_brute(S)
+        elif call is None:
+            H = hilbert_through_stabilization(S)
+            assert (list(H.values), H.stable_from) == (brute[: start + 1], start)
+        else:
+            H = hilbert_function(S, call)
+            assert list(H.values) == brute[: call + 1]
+            assert H.stable_from == (start if start <= call else None)
