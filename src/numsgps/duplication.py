@@ -158,15 +158,21 @@ def duplication_chain(S0: NumericalSemigroup, steps: int) -> list[NumericalSemig
     2t + 1; almost symmetry is preserved.  Each step shifts by the smallest
     odd element of the current semigroup.
     """
+    return _chain(S0, steps)[0]
+
+
+def _chain(S0: NumericalSemigroup, steps: int) -> tuple[list[NumericalSemigroup], list[int]]:
+    """The semigroups of :func:`duplication_chain` and the shifts b, step i + 1 built with bs[i]."""
     if S0.conductor == 0:
         raise ValueError("the chain needs a semigroup other than the naturals")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    chain = [S0]
+    chain, bs = [S0], []
     for _ in range(steps):
         S = chain[-1]
-        chain.append(numerical_duplication(S, maximal_ideal(S), smallest_odd_element(S)))
-    return chain
+        bs.append(smallest_odd_element(S))
+        chain.append(numerical_duplication(S, maximal_ideal(S), bs[-1]))
+    return chain, bs
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +264,9 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
     h >= 1; the final's is ``predicted_duplication_hilbert`` of the last
     chain step, [1, nu + t, H(2) + H(1), ...], valid as that step is almost
     symmetric and K + f + 1 is proper.  By induction on the chain, each H
-    thus agrees with an independent route, ``stable_from`` included.
+    thus agrees with an independent route, ``stable_from`` included.  Each
+    chain step's type, read off its PF numbers, must also be 2 t + 1 for the
+    parent's type t.
     """
     if level < 2:
         raise LevelTooSmall(f"level must be at least 2, got {level}")
@@ -273,17 +281,20 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
     else:
         i0 = drop.bit_length()
 
-    semigroups = duplication_chain(seed, i0)
-    bs = [smallest_odd_element(S) for S in semigroups]  # step i + 1 was built with bs[i]
+    semigroups, bs = _chain(seed, i0)
     steps = [ChainStep(index=0, b=None, semigroup=seed, type=semigroup_type(seed),
                        hilbert=hilbert_through_stabilization(seed, level + 1))]
     for idx, (b, S) in enumerate(zip(bs, semigroups[1:]), start=1):
         H = _from_rows(S, level + 1, extend=True)
         _certify(H == _doubled_hilbert(steps[-1].hilbert, H.h_max),
                  f"Apery-row and duplication-formula Hilbert values disagree at chain step {idx}")
-        steps.append(ChainStep(index=idx, b=b, semigroup=S, type=semigroup_type(S), hilbert=H))
+        t = semigroup_type(S)
+        _certify(t == 2 * steps[-1].type + 1,
+                 f"PF type and the duplication's type 2 t + 1 disagree at chain step {idx}")
+        steps.append(ChainStep(index=idx, b=b, semigroup=S, type=t, hilbert=H))
 
-    last, final_b = steps[-1], bs[-1]
+    last = steps[-1]
+    final_b = smallest_odd_element(last.semigroup)
     E = standard_canonical_ideal(last.semigroup).shift(last.semigroup.frobenius + 1)
     final = numerical_duplication(last.semigroup, E, final_b)
     H_final = _from_rows(final, level + 1, extend=True)

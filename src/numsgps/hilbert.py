@@ -42,6 +42,7 @@ import numpy as np
 
 from .core import (
     _GATHER_CELLS, LISTING_LIMIT, NotMember, NumericalSemigroup, SemigroupError, _certify,
+    _narrow,
 )
 
 
@@ -68,21 +69,28 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
     empty, that is W_k = W_{k-1} + e (kM = (k-1)M + e); from there on every
     row is the previous one plus e.  Rows are produced one at a time, so
     memory stays O(e) for any R.
+
+    The walk runs in int32 when :func:`core._narrow` allows it.  W_0[r] + ke
+    lies in kM, so W_k <= W_0 + ke, and the walk stops at R <= e, since the
+    reduction number R - 1 is at most e - 1.  So every row lies in
+    [0, max(W_0) + e^2] and a row entry minus a generator in
+    [-max(G), max(W_0) + e^2]; the bound max(W_0) + e^2 + max(G) covers the
+    generators as well.  Each row is yielded as int64.
     """
-    e = S.multiplicity
-    shifts = np.array(S.min_gens[1:], dtype=np.int64)
+    e, top = S.multiplicity, S.min_gens[-1]
+    dt = _narrow(-top, int(S.w.max()) + e * e + top)
+    shifts = np.array(S.min_gens[1:], dtype=dt)
     steps = shifts % e
     block = max(1, _GATHER_CELLS // max(1, len(shifts)))
     # one set of block buffers for the whole walk: fresh block-sized
     # temporaries go back to the OS and fault in again on every block
     target = np.empty((block, len(shifts)), dtype=np.int64)
-    reached = np.empty_like(target)
+    reached = np.empty(target.shape, dtype=dt)
     stays = np.empty(target.shape, dtype=bool)
-    row = S.w
-    yield row
-    row = row.copy()
+    yield S.w
+    row = S.w.astype(dt)
     row[0] = e
-    yield row
+    yield row.astype(np.int64, copy=False)
     frontier = np.flatnonzero(row == S.w)
     while len(frontier):
         nxt = row + e
@@ -97,7 +105,7 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
             kept[kept >= e] -= e
             # a class may be kept from several blocks: assign, never subtract e
             nxt[kept] = row[kept]
-        yield nxt
+        yield nxt.astype(np.int64, copy=False)
         frontier = np.flatnonzero(nxt == row)
         row = nxt
 

@@ -1,14 +1,15 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numsgps.core
 from numsgps import GcdError, NumericalSemigroup, is_symmetric, parse_generators, pseudo_frobenius
 from numsgps.cli import main
-from numsgps.core import APERY_LIMIT, MULTIPLICITY_LIMIT
+from numsgps.core import APERY_LIMIT, MULTIPLICITY_LIMIT, _min_plus
 
 from conftest import brute_members
 
@@ -202,3 +203,31 @@ def test_apery_headroom_ceiling():
     assert (2**19) * 2**40 == APERY_LIMIT
     _sylvester(2**19 + 1, 2**40)
     _rejected_before_allocating([2**19 + 3, 2**40], "Apery values")
+
+
+# hi = max(v) + max(shifts) on, below and past the int32 margin; lo = min(v) + min(shifts) likewise
+_INT32_EDGES = [2**31 - 2, 2**31 - 1, 2**31, -2**31 + 1, -2**31, -2**31 - 1]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=9),
+       st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=6),
+       st.sampled_from(_INT32_EDGES),
+       st.one_of(st.integers(min_value=-2**40, max_value=2**40),
+                 st.sampled_from([0, 2**31 - 100, -2**31 + 100])))
+@example([0], [0], 2**31 - 2, 0)
+@example([0, 5, 9], [3, 60], 2**31 - 1, 2**31 - 100)
+@example([7, 0], [1, 2], 2**31, 0)
+@example([0, 1, 2], [0, 4], -2**31 + 1, -2**31 + 100)
+@example([3, 1], [2], -2**31, 0)
+@example([3, 1], [2, 5], -2**31 - 1, 0)
+@example([0, 60], [0, 60], 2**31 - 2, 2**40)  # operands far outside int32, sums inside
+@settings(max_examples=150, deadline=None)
+def test_min_plus_exact_across_the_int32_limits(v, shifts, edge, split):
+    # translate v by split and the shifts by the rest, so that hi (edge > 0) or lo lands on edge
+    total = edge - (max(v) + max(shifts) if edge > 0 else min(v) + min(shifts))
+    v = [x + split for x in v]
+    shifts = [s + total - split for s in shifts]
+    e = len(v)
+    got = _min_plus(np.array(v, dtype=np.int64), shifts)
+    assert got.dtype == np.int64
+    assert got.tolist() == [min(v[(r - s) % e] + s for s in shifts) for r in range(e)]

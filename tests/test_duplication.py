@@ -362,6 +362,27 @@ def test_final_certificate_fires_under_python_O():
             "at the final duplication") in proc.stderr
 
 
+def test_type_certificate_fires_under_python_O():
+    proc = _exit_under_python_O(
+        "pf_type = numsgps.duplication.semigroup_type\n"
+        "numsgps.duplication.semigroup_type = lambda S: pf_type(S) + 1",
+        ["witness", "--level", "4", "--drop", "3"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "duplication's type 2 t + 1 disagree at chain step 1" in proc.stderr
+
+
+def test_witness_finds_each_shift_once(monkeypatch):
+    calls = []
+    odd = numsgps.duplication.smallest_odd_element
+    monkeypatch.setattr(numsgps.duplication, "smallest_odd_element",
+                        lambda S: calls.append(S) or odd(S))
+    report = gorenstein_witness(4, 3)
+    semigroups = [step.semigroup for step in report.chain]
+    assert calls == semigroups
+    assert [step.b for step in report.chain[1:]] + [report.final_b] == [odd(S) for S in semigroups]
+
+
 def _sums_escape(S, E, b) -> bool:
     """Whether some x + y + b with x, y in E lies outside S, on a window."""
     low, c = E.min_element, S.conductor

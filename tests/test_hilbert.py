@@ -22,10 +22,15 @@ from numsgps import (
     hilbert_by_set_construction,
     hilbert_function,
     hilbert_through_stabilization,
+    ideal_sum,
     layer_sets,
+    maximal_ideal,
     order_table,
+    pseudo_frobenius,
+    standard_canonical_ideal,
 )
-from numsgps.hilbert import _rows, _walk
+from numsgps.core import _min_plus
+from numsgps.hilbert import _from_rows, _rows, _walk
 
 from conftest import (
     _exit_under_python_O,
@@ -333,6 +338,49 @@ def test_apery_rows_across_gather_blocks(rng, monkeypatch):
     cases += [random_semigroup(rng, max_mult=12) for _ in range(80)]
     for S in cases:
         _assert_rows_match_dense(S)
+
+
+@pytest.mark.parametrize("b,dtype", [
+    (715827878, np.int32),  # the rows' bound 2b + 3^2 + b = 2**31 - 5 stays under 2**31 - 1
+    (715827880, np.int64),  # 2**31 + 1: just over
+    (1100000000, np.int64),  # W_0 holds 2b > 2**31: int32 would wrap
+])
+def test_rows_of_two_generators_across_the_int32_limit(monkeypatch, b, dtype):
+    chosen = []
+    narrow = numsgps.hilbert._narrow
+
+    def recorded(lo, hi):
+        chosen.append(narrow(lo, hi))
+        return chosen[-1]
+
+    monkeypatch.setattr(numsgps.hilbert, "_narrow", recorded)
+    S = NumericalSemigroup.from_generators([3, b])
+    _assert_rows_match_dense(S)
+    assert chosen == [dtype]
+    assert all(row.dtype == np.int64 for row in _rows(S))
+    # the bitset oracle on a conductor near 2**31 is out of reach; H(k) = min(k + 1, 3)
+    H = _from_rows(S, 4, extend=True)
+    assert H == HilbertFunction(values=(1, 2, 3, 3, 3), stable_from=2)
+
+
+def test_int64_kernels_agree_with_narrowed(rng, monkeypatch):
+    cases = [random_semigroup(rng, max_mult=12) for _ in range(50)]
+    cases += [construct_asd(ell).semigroup for ell in range(4, 9)]
+
+    def kernels(S):
+        _walk.cache_clear()
+        pseudo_frobenius.cache_clear()
+        K, M = standard_canonical_ideal(S), maximal_ideal(S)
+        return ([row.tolist() for row in _rows(S)], hilbert_through_stabilization(S),
+                _min_plus(S.w, S.min_gens).tolist(), _min_plus(-S.w, S.min_gens).tolist(),
+                ideal_sum(M, K).w.tolist(), K.minimal_generators(), pseudo_frobenius(S))
+
+    narrowed = [kernels(S) for S in cases]
+    for module in (numsgps.core, numsgps.hilbert):
+        monkeypatch.setattr(module, "_narrow", lambda lo, hi: np.int64)
+    assert [kernels(S) for S in cases] == narrowed
+    _walk.cache_clear()
+    pseudo_frobenius.cache_clear()
 
 
 def test_two_large_generators_hilbert_in_bounded_memory():

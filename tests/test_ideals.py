@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,12 +19,14 @@ from numsgps import (
     is_symmetric,
     maximal_ideal,
     nari_partition,
+    numerical_duplication,
     pseudo_frobenius,
     semigroup_as_ideal,
     semigroup_type,
     standard_canonical_ideal,
 )
 from numsgps.cli import main
+from numsgps.hilbert import _rows
 from numsgps.ideals import RelativeIdeal
 
 from conftest import _exit_under_python_O, brute_members, random_semigroup
@@ -284,6 +287,19 @@ def test_ideal_values_outside_int64_headroom_rejected():
     with pytest.raises(ValueError, match="supported range"):
         K.shift(2**59).shift(2**59)
     assert main(["duplicate", "4,6,7", "--ideal", f"canonical+{2**63 - 1000}", "--b", "7"]) == 2
+
+
+def test_vectors_leave_the_kernels_as_int64():
+    # the kernels may compute in int32; an int32 w would overflow on shift(2**40)
+    S = construct_asd(4).semigroup
+    K = standard_canonical_ideal(S)
+    E = ideal_sum(maximal_ideal(S), K)
+    T = numerical_duplication(S, K.shift(101), 33)
+    ideals = [E, ideal_generated_by(S, E.minimal_generators()), K, semigroup_as_ideal(T)]
+    assert [I.w.dtype for I in ideals] == [np.int64] * 4
+    assert all(type(x) is int for x in E.minimal_generators())
+    assert all(row.dtype == np.int64 for U in (S, T) for row in _rows(U))
+    assert E.shift(2**40).min_element == E.min_element + 2**40
 
 
 def test_listing_built_per_class_and_guarded(monkeypatch):
