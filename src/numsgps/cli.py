@@ -101,8 +101,8 @@ def _emit(args, payload: dict, human_lines: list[str]) -> int:
 
 def cmd_info(args) -> int:
     S = _resolve_semigroup(args.gens)
-    pf = pseudo_frobenius(S)
     sym = is_symmetric(S)
+    pf = pseudo_frobenius(S)
     alm = is_almost_symmetric(S, "definition")
     payload = {
         **S.to_json(),
@@ -157,7 +157,7 @@ def cmd_duplicate(args) -> int:
     payload = {"ideal": E.to_json()} if args.json else {}
     H = (
         hilbert_function(T, args.hmax)
-        if args.hmax
+        if args.hmax is not None
         else hilbert_through_stabilization(T, 6)
     )
     payload |= {

@@ -280,6 +280,8 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
         i0 = (drop + 1).bit_length() - 1
     else:
         i0 = drop.bit_length()
+    # each of the i0 + 1 duplications doubles the multiplicity; check the final one up front
+    _check_size(seed.multiplicity << (i0 + 1), 0)
 
     semigroups, bs = _chain(seed, i0)
     steps = [ChainStep(index=0, b=None, semigroup=seed, type=semigroup_type(seed),

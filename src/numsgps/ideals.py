@@ -7,7 +7,8 @@ S (see :mod:`numsgps.core`): ``w[r]`` is the smallest member of E in the
 class r mod e.  Equality is equality of vectors; sums, shifts, minimal
 generators and the canonical ideal are vector operations, and the listing
 ``small`` plus ``threshold`` (members below the first integer from which on
-everything belongs to E) is derived on demand.
+everything belongs to E) is derived on demand.  The pseudo-Frobenius numbers
+are read off the minimal generators of the canonical ideal K(S).
 """
 
 from __future__ import annotations
@@ -170,28 +171,19 @@ def ideal_sum(E: RelativeIdeal, F: RelativeIdeal) -> RelativeIdeal:
 # pseudo-Frobenius numbers, canonical ideals, symmetry
 # ---------------------------------------------------------------------------
 
-def _reflect(v: np.ndarray) -> np.ndarray:
-    """v[-r mod e] at r."""
-    return np.roll(v[::-1], 1)
-
-
 @lru_cache(maxsize=512)
 def pseudo_frobenius(S: NumericalSemigroup) -> tuple[int, ...]:
     """PF(S): integers x outside S with x + M inside S; |PF| is the type.
 
-    Every PF number is the largest gap w[r] - e of its class r != 0, and
-    testing x + g for the minimal generators g suffices since every element
-    of M is a generator plus a member.  The naturals themselves get the
-    conventional PF = {-1}.
+    x is a PF number exactly when y = f - x is a minimal generator of K(S):
+    f - y outside S puts y in K, and f - y + M inside S keeps y out of K + M.
+    So PF(S) = f - mingens(K(S)); for the naturals K = S and PF = {-1}.
+    Certified against Nari's inequality 2g >= F + t.
     """
-    if S.conductor == 0:
-        return (-1,)
-    w, e = S.w, S.multiplicity
-    # above[r] = max_g w[(r + g) mod e] - g, a min-plus gather on the reflected vector
-    above = -_reflect(_min_plus(-_reflect(w), S.min_gens))
-    keep = w - e >= above
-    keep[0] = False
-    return tuple(np.sort(w[keep] - e).tolist())
+    f = S.frobenius
+    pf = tuple(f - y for y in reversed(standard_canonical_ideal(S).minimal_generators()))
+    _certify(2 * S.genus >= f + len(pf), "PF count breaks Nari's inequality 2g >= F + t")
+    return pf
 
 
 def semigroup_type(S: NumericalSemigroup) -> int:
@@ -253,19 +245,21 @@ def is_almost_symmetric(S: NumericalSemigroup, method: str = "definition") -> bo
     """Almost symmetry, by definition (M + K(S) = M) or by Nari's criterion.
 
     The Nari route demands alpha_i + alpha_{m-i} = alpha_m on the a-part and
-    beta_j + beta_{t-j} = alpha_m + e on the b-part of the Apery partition.
+    beta_j + beta_{t-j} = alpha_m + e on the b-part of the Apery partition,
+    each as one comparison of the part with its reverse.  Either answer is
+    certified against Nari's equivalent condition 2g = F + t.
     """
     if method == "definition":
         M = maximal_ideal(S)
-        return ideal_sum(M, standard_canonical_ideal(S)) == M
-    if method == "nari":
+        almost = ideal_sum(M, standard_canonical_ideal(S)) == M
+    elif method == "nari":
         part = nari_partition(S)
-        alpha, beta = part.a, part.b
-        m = len(alpha) - 1
-        top = alpha[-1]
-        if any(alpha[i] + alpha[m - i] != top for i in range(1, m)):
-            return False
-        t = len(beta) + 1
-        e = S.multiplicity
-        return all(beta[j - 1] + beta[t - j - 1] == top + e for j in range(1, t))
-    raise ValueError(f"unknown method {method!r}; use 'definition' or 'nari'")
+        a, b = np.array(part.a), np.array(part.b, dtype=np.int64)
+        top = a[-1]
+        almost = bool((a[1:-1] + a[-2:0:-1] == top).all()
+                      and (b + b[::-1] == top + S.multiplicity).all())
+    else:
+        raise ValueError(f"unknown method {method!r}; use 'definition' or 'nari'")
+    _certify(almost == (2 * S.genus == S.frobenius + semigroup_type(S)),
+             f"almost symmetry by {method} disagrees with Nari's 2g = F + t")
+    return almost

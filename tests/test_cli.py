@@ -164,3 +164,19 @@ def test_duplicate_large_canonical_json_fails_fast():
     assert proc.returncode == 2, proc.stderr
     assert "error: ideal listing of 50070024 elements exceeds" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_duplicate_hmax_zero_exit_2(capsys):
+    # --hmax 0 is a given h_max, not "through stabilization"
+    code, out, err = run(capsys, "duplicate", "4,5", "--ideal", "maximal", "--b", "5", "--hmax", "0")
+    assert code == 2 and out == ""
+    assert "h_max must be at least 1" in err
+    assert run(capsys, "hilbert", "4,5", "--hmax", "0")[0] == 2
+
+
+def test_witness_past_size_limit_fails_fast():
+    # i0 = 20 duplications of the level-4 seed (e = 32) end at multiplicity 2**26
+    proc = run_capped_cli(["witness", "--level", "4", "--drop", "1000000"])
+    assert proc.returncode == 2, proc.stderr
+    assert "error: multiplicity 67108864 exceeds the supported range 2**24" in proc.stderr
+    assert "Traceback" not in proc.stderr

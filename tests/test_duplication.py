@@ -285,6 +285,15 @@ def test_witness_errors():
         gorenstein_witness(4, 0)
 
 
+def test_witness_size_guard_matches_the_final_multiplicity(monkeypatch):
+    # drop 3 takes i0 = 2 chain steps, so the final multiplicity is 32 * 2**3
+    monkeypatch.setattr(numsgps.core, "MULTIPLICITY_LIMIT", 256)
+    assert gorenstein_witness(4, 3).final.multiplicity == 256
+    monkeypatch.setattr(numsgps.duplication, "_chain", None)  # refused before any chain step
+    with pytest.raises(ValueError, match="multiplicity 512 exceeds the supported range 2"):
+        gorenstein_witness(4, 4)
+
+
 def test_witness_report_json():
     report = gorenstein_witness(4, 1)
     data = report.to_json()

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numsgps
@@ -52,14 +52,29 @@ def test_pf_known_values():
     assert semigroup_type(fixture_semigroup("ex3_5_h2")) == 53
 
 
-def test_pf_definition_scan(rng):
-    # generator-based test equals the full definition-level scan
-    for _ in range(20):
-        S = random_semigroup(rng)
-        assert pseudo_frobenius(S) == brute_pf(S)
-        pf = pseudo_frobenius(S)
-        assert S.frobenius in pf
-        assert all(not S.contains(x) for x in pf)
+@given(st.lists(st.integers(min_value=1, max_value=15), min_size=1, max_size=4))
+@example([1])
+@example([2, 3])
+@example([4, 5, 6, 7])  # nu = e
+@settings(max_examples=60, deadline=None)
+def test_pf_definition_scan(gens):
+    # PF read off K(S)'s minimal generators equals the full definition-level scan
+    assume(math.gcd(*gens) == 1)
+    S = NumericalSemigroup.from_generators(gens)
+    pf = pseudo_frobenius(S)
+    assert pf == brute_pf(S)
+    assert S.frobenius == pf[-1]
+    assert 2 * S.genus >= S.frobenius + len(pf)  # Nari's inequality
+
+
+def test_pf_certificate_fires_under_python_O():
+    # every Apery element taken for a generator of K(<3,5>) gives t = 3 > 2g - F = 1
+    proc = _exit_under_python_O(
+        "numsgps.ideals.RelativeIdeal.minimal_generators = lambda self: tuple(sorted(self.w.tolist()))",
+        ["info", "3,5"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "PF count breaks Nari's inequality 2g >= F + t" in proc.stderr
 
 
 def test_canonical_symmetric_case():
@@ -212,6 +227,35 @@ def test_method_agreement_random(rng):
     for _ in range(120):
         S = random_semigroup(rng, genus_cap=30)
         assert is_almost_symmetric(S, "definition") == is_almost_symmetric(S, "nari")
+
+
+@given(st.lists(st.integers(min_value=1, max_value=15), min_size=1, max_size=4))
+@example([1])  # Apery set {0}: a = (0,), b = ()
+@example([2, 3])  # a = (0, 3), b = ()
+@example([3, 4, 5])  # a = (0, 5), b = (4,)
+@example([4, 5, 6, 7])  # a = (0, 7), b = (5, 6)
+@example([4, 5, 11])  # not almost symmetric
+@settings(max_examples=60, deadline=None)
+def test_nari_vectors_agree_with_definition(gens):
+    assume(math.gcd(*gens) == 1)
+    S = NumericalSemigroup.from_generators(gens)
+    almost = is_almost_symmetric(S, "nari")
+    assert almost == is_almost_symmetric(S, "definition")
+    assert almost == (2 * S.genus == S.frobenius + semigroup_type(S))
+
+
+def test_almost_symmetry_certificate_fires_under_python_O():
+    # a definition route that answers True on the non-almost-symmetric <4,5,11>
+    proc = _exit_under_python_O("numsgps.ideals.ideal_sum = lambda E, F: E", ["info", "4,5,11"])
+    assert proc.returncode == 4, proc.stderr
+    assert "almost symmetry by definition disagrees with Nari's 2g = F + t" in proc.stderr
+    # a Nari route that answers False on the almost symmetric level-4 construction
+    proc = _exit_under_python_O(
+        "numsgps.ideals.nari_partition = lambda S: numsgps.ideals.NariPartition(a=(0, 1, 5), b=())",
+        ["construct", "--ell", "4", "--verify"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "almost symmetry by nari disagrees with Nari's 2g = F + t" in proc.stderr
 
 
 @given(st.lists(st.integers(min_value=2, max_value=20), min_size=1, max_size=4),

@@ -73,3 +73,43 @@ def test_unused_import_scan_catches_a_leftover():
     tree = ast.parse("from typing import Callable, Iterable\nimport numpy as np\n"
                      "def f(x: Iterable) -> None:\n    np.sort(x)\n")
     assert _unused_imports(tree) == [(1, "Callable")]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private names (``_x``, not dunder) a module defines, with their lines."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found.update((name, node.lineno) for name in targets
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def _unused_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Private module-level names that no module of ``trees`` reads, by name or as an attribute."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            or isinstance(node, ast.Attribute)}
+    return sorted(f"{module}:{line} {name}" for module, tree in trees.items()
+                  for name, line in _private_definitions(tree).items() if name not in read)
+
+
+def test_no_unused_private_names_in_package():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert _unused_private_names(trees) == []
+
+
+def test_unused_private_name_scan_catches_a_leftover():
+    trees = {
+        "a.py": ast.parse("_LIMIT = 4\n_n: int = 2\n__all__ = []\n"
+                          "def _reflect(v):\n    return v\ndef _used(v):\n    return v\n"),
+        "b.py": ast.parse("from a import _used, _n\nimport a\nx = _used(a._LIMIT) + _n\n"),
+    }
+    assert _unused_private_names(trees) == ["a.py:4 _reflect"]
