@@ -15,8 +15,9 @@ minima, and gaps or membership tables are produced on demand.
 lists a set class by class, and :func:`_min_plus` combines vectors by one
 min-plus gather over all e classes; semigroup and ideal arithmetic and
 pseudo-Frobenius numbers reduce to it.  The Hilbert rows of
-:mod:`numsgps.hilbert` do not: ``_rows`` gathers only over the frontier of
-classes that stayed put at the last level.  A semigroup given in closed
+:mod:`numsgps.hilbert` do not: ``_rows`` reads Ap(2M) off the minimal
+generators and from there gathers only over the frontier of classes that
+stayed put at the last level.  A semigroup given in closed
 form, its Apery vector and generators read off a formula rather than found
 by the round robin, is checked by two gathers in :func:`_certify_generators`.
 
@@ -199,6 +200,10 @@ class NumericalSemigroup:
     """Immutable numerical semigroup; build via :meth:`from_generators`.
 
     ``w`` is the read-only Apery vector with respect to the multiplicity.
+    ``min_gens`` must be the minimal generators, ascending: the Hilbert rows
+    read Ap(2M) off them.  :meth:`from_generators` minimalizes through the
+    round robin, and the closed-form builders certify theirs with
+    :func:`_certify_generators`.
     """
 
     __slots__ = ("min_gens", "w", "frobenius", "conductor")

@@ -6,8 +6,9 @@ respect to the multiplicity e: W_k[r] is the smallest member of kM in the
 class r mod e, so kM is described exactly by e integers per level.  Between
 levels each entry either stays or rises by e, and only the classes that
 stayed put at the last level can keep another class in place, so each row
-costs O(e) plus one gather over that frontier times the generators.  The
-rows give H(k) = sum(W_{k+1} - W_k) / e, the orders
+costs O(e) plus one gather over that frontier times the generators.  W_2
+needs none: a nonzero Apery element lies in 2M exactly when it is not a
+minimal generator.  The rows give H(k) = sum(W_{k+1} - W_k) / e, the orders
 ord(s) = #{k >= 1 : s >= W_k[s mod e]} and the Apery strata.
 
 Stabilization is certified, not guessed: the rows stop at the reduction
@@ -42,7 +43,7 @@ import numpy as np
 
 from .core import (
     _GATHER_CELLS, LISTING_LIMIT, NotMember, NumericalSemigroup, SemigroupError, _certify,
-    _narrow,
+    _min_plus, _narrow,
 )
 
 
@@ -64,11 +65,16 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
     W_k[s] = W_{k-1}[s] + e, then W_k[s] + g >= W_k[r] + e, as (k-1)M + g
     lies in kM; so only the frontier Z_k = {s : W_k[s] = W_{k-1}[s]} can
     keep a class, and g = e never does.  W_1 = Ap(M) is W_0 with W_1[0] = e,
-    so Z_1 = {r != 0}.  Each level thus costs O(e) plus |Z_k| (nu - 1)
-    gathered cells.  R is the reduction index, the first k >= 1 with Z_k
-    empty, that is W_k = W_{k-1} + e (kM = (k-1)M + e); from there on every
-    row is the previous one plus e.  Rows are produced one at a time, so
-    memory stays O(e) for any R.
+    so Z_1 = {r != 0}.  W_2 = Ap(2M) needs no gather: a nonzero Apery element
+    lies in 2M exactly when it is not a minimal generator, each minimal
+    generator g != e is the Apery element of its class, and e is not in 2M.
+    So W_2 is W_1 plus e on class 0 and the classes g mod e, and Z_2 is every
+    other nonzero class (this leans on ``S.min_gens`` being minimal).  Each
+    level k >= 2 thus costs O(e) plus |Z_k| (nu - 1) gathered cells, and a
+    semigroup with nu = e gathers none.  R is the reduction index, the first
+    k >= 1 with Z_k empty, that is W_k = W_{k-1} + e (kM = (k-1)M + e); from
+    there on every row is the previous one plus e.  Rows are produced one at
+    a time, so memory stays O(e) for any R.
 
     The walk runs in int32 when :func:`core._narrow` allows it.  W_0[r] + ke
     lies in kM, so W_k <= W_0 + ke, and the walk stops at R <= e, since the
@@ -91,7 +97,11 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
     row = S.w.astype(dt)
     row[0] = e
     yield row.astype(np.int64, copy=False)
-    frontier = np.flatnonzero(row == S.w)
+    if e > 1:  # W_2 with no gather: the generators' classes and class 0 rise, the rest stay
+        row = row.copy()
+        row[np.r_[0, steps]] += e
+        yield row.astype(np.int64, copy=False)
+    frontier = np.flatnonzero(row == S.w)  # Z_2, or Z_1 = {} when e = 1
     while len(frontier):
         nxt = row + e
         twice = np.concatenate([row, row])  # twice[s + (g mod e)] = row[(s + g) mod e]
@@ -343,9 +353,14 @@ def apery_table(S: NumericalSemigroup) -> AperyTable:
     elements = tuple(orders)
     strata = _grouped(apery_orders[1:], S.w[1:])  # class 0 holds 0, of order 0
 
-    _certify(len(elements) == S.multiplicity and elements[0] == 0, "malformed Apery set")
-    _certify(strata.get(1, ()) == tuple(g for g in S.min_gens if g != S.multiplicity),
+    e = S.multiplicity
+    _certify(len(elements) == e and elements[0] == 0, "malformed Apery set")
+    _certify(strata.get(1, ()) == tuple(g for g in S.min_gens if g != e),
              "order-1 Apery stratum differs from the minimal generators")
+    # the walk reads W_2 off the generators, so order 1 is checked against one gathered Ap(2M)
+    ap2 = _min_plus(np.r_[e, S.w[1:]], S.min_gens)
+    _certify(strata.get(1, ()) == tuple(np.sort(S.w[1:][ap2[1:] != S.w[1:]]).tolist()),
+             "order-1 Apery stratum differs from the Apery elements outside the gathered Ap(2M)")
     return AperyTable(elements=elements, orders=orders, strata=strata)
 
 

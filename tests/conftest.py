@@ -117,6 +117,19 @@ def dense_apery_rows(S: NumericalSemigroup) -> list[np.ndarray]:
             return rows
 
 
+def count_gathers(monkeypatch) -> list[int]:
+    """Wrap ``np.take`` for the test; the one-element list counts the cells it gathers."""
+    cells = [0]
+    take = np.take
+
+    def counted(a, indices, *args, **kwargs):
+        cells[0] += np.size(indices)
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counted)
+    return cells
+
+
 def random_semigroup(rng: random.Random, max_mult: int = 9, genus_cap: int | None = None,
                      tries: int = 200) -> NumericalSemigroup:
     for _ in range(tries):

@@ -19,6 +19,7 @@ from numsgps import (
     decrease_levels,
     element_order,
     fixture_semigroup,
+    gorenstein_witness,
     hilbert_by_set_construction,
     hilbert_function,
     hilbert_through_stabilization,
@@ -38,6 +39,7 @@ from conftest import (
     brute_layer_sets,
     brute_members,
     brute_orders,
+    count_gathers,
     dense_apery_rows,
     random_semigroup,
     run_capped,
@@ -312,6 +314,10 @@ def _assert_rows_match_dense(S):
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.sampled_from([5, 9, 20, 40]))
+@example([1], None)
+@example([2, 3], None)
+@example([4, 5, 6], None)
+@example([5, 6, 7, 8, 9], None)
 @example(None, 1)
 @example(None, 2)
 @example(None, 31)
@@ -319,14 +325,74 @@ def _assert_rows_match_dense(S):
 @example(None, 1009)
 @settings(max_examples=60, deadline=None)
 def test_apery_rows_match_dense_recurrence(seed, mult):
-    # seed None: the two-generator semigroup <mult, mult + 1> (<1> for mult 1)
-    if seed is None:
+    # seed None: the two-generator semigroup <mult, mult + 1> (<1> for mult 1); a list: those generators
+    if isinstance(seed, list):
+        S = NumericalSemigroup.from_generators(seed)
+    elif seed is None:
         S = NumericalSemigroup.from_generators([mult, mult + 1])
     else:
         S = random_semigroup(random.Random(seed), max_mult=mult)
     _assert_rows_match_dense(S)
     # H(k) = e exactly from R - 1 on, and the dense walk holds the R + 1 rows W_0..W_R
     assert hilbert_through_stabilization(S).stable_from == len(dense_apery_rows(S)) - 2
+
+
+def test_apery_rows_of_witness_semigroups_match_dense_recurrence():
+    # nu stays close to e along the chain and at the final (e = 256), so W_2
+    # read off the generators decides almost every class
+    report = gorenstein_witness(4, 3)
+    semigroups = [step.semigroup for step in report.chain] + [report.final]
+    assert report.final.multiplicity == 256
+    for S in semigroups:
+        _assert_rows_match_dense(S)
+
+
+@given(semigroup_gens(max_gen=12))
+@example([1])
+@example([5, 6, 7, 8, 9])
+@settings(max_examples=50, deadline=None)
+def test_first_hilbert_value_is_the_embedding_dimension(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    H = _from_rows(S, 1, extend=False)
+    assert H.values[1] == S.embedding_dimension == brute_hilbert(S.min_gens, 1)[1]
+
+
+def test_rows_of_full_embedding_dimension_gather_nothing(monkeypatch):
+    # nu = e: every nonzero Apery element is a generator, so W_2 = W_1 + e and R = 2
+    cells = count_gathers(monkeypatch)
+    rows = list(_rows(NumericalSemigroup.from_generators([5, 6, 7, 8, 9])))
+    assert len(rows) == 3 and np.array_equal(rows[2], rows[1] + 5)
+    assert cells == [0]
+
+
+def test_rows_gather_from_the_second_frontier_on(monkeypatch):
+    # Z_k = {s : W_k[s] = W_{k-1}[s]} for k = 2..R; each of its classes gathers nu - 1 cells
+    cells = count_gathers(monkeypatch)
+    for S, want in ((NumericalSemigroup.from_generators([4, 5, 6]), 2),  # Z_2 = {3}, Z_3 = {}
+                    (construct_asd(4).semigroup, None)):
+        cells[0] = 0
+        rows = list(_rows(S))
+        frontiers = sum(np.count_nonzero(hi == lo) for lo, hi in zip(rows[1:], rows[2:]))
+        assert cells == [frontiers * (S.embedding_dimension - 1)]
+        assert want is None or cells == [want]
+
+
+def _redundant_generator_semigroup() -> NumericalSemigroup:
+    # 11 = 5 + 6 is the Apery element of its class, but not a minimal generator
+    return NumericalSemigroup((4, 5, 6, 11), NumericalSemigroup.from_generators([4, 5, 6]).w.copy())
+
+
+def test_order_one_certificate_catches_a_redundant_generator():
+    with pytest.raises(AssertionError, match="order-1 Apery stratum differs"):
+        apery_table(_redundant_generator_semigroup())
+    _walk.cache_clear()
+
+
+def test_hilbert_cross_check_catches_a_redundant_generator():
+    # the rows raise class 3 at W_2 (H(1) = 2); the oracle counts |M \ 2M| = 3
+    with pytest.raises(AssertionError, match="Apery-row and set-construction Hilbert values disagree"):
+        hilbert_function(_redundant_generator_semigroup(), 3)
+    _walk.cache_clear()
 
 
 def test_apery_rows_across_gather_blocks(rng, monkeypatch):
