@@ -12,16 +12,17 @@ max(w) - e, the genus is the number sum(w // e) of gaps below the class
 minima, and gaps or membership tables are produced on demand.
 
 :func:`_members` reads membership off such a vector, :func:`_per_class`
-lists a set class by class, and :func:`_min_plus` combines vectors by one
-min-plus gather over all e classes; semigroup and ideal arithmetic and
-pseudo-Frobenius numbers reduce to it.  The Hilbert rows of
-:mod:`numsgps.hilbert` do not: ``_rows`` reads Ap(2M) off the minimal
-generators and from there gathers only over the frontier of classes that
-stayed put at the last level.  A semigroup given in closed
-form, its Apery vector and generators read off a formula rather than found
-by the round robin, is checked by two gathers in :func:`_certify_generators`.
+lists a set class by class, and :func:`_min_plus_steps` applies a min-plus
+gather over all e classes step after step; semigroup and ideal arithmetic
+and pseudo-Frobenius numbers take one step (:func:`_min_plus`), the Hilbert
+oracle one per level.  The Hilbert rows of :mod:`numsgps.hilbert` do not:
+``_rows`` reads Ap(2M) off the minimal generators and from there gathers
+only over the frontier of classes that stayed put at the last level.  A
+semigroup given in closed form, its Apery vector and generators read off a
+formula rather than found by the round robin, is checked by two gathers in
+:func:`_certify_generators`.
 
-Storage stays int64.  The two vector kernels, :func:`_min_plus` and the
+Storage stays int64.  The two vector kernels, the min-plus steps and the
 rows, compute in int32 whenever an a-priori bound on their values fits
 (:func:`_narrow`), and return int64 either way.
 """
@@ -29,7 +30,7 @@ rows, compute in int32 whenever an a-priori bound on their values fits
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -84,32 +85,43 @@ def _narrow(lo: int, hi: int) -> type[np.signedinteger]:
     return np.int32 if -(1 << 31) < lo and hi < (1 << 31) - 1 else np.int64
 
 
-def _min_plus(v: np.ndarray, shifts) -> np.ndarray:
-    """out[r] = min over s in ``shifts`` of v[(r - s) mod e] + s, with e = len(v).
+def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
+    """Yield v_1, ..., v_steps: v_j[r] = min over s in ``shifts`` of v_{j-1}[(r - s) mod e] + s.
 
-    For the Apery vector v of a set X closed under +S, this is the Apery
-    vector of the union of the translates X + s.  Computed in int32 when
-    the operands and their sums, min(v) + min(shifts) to max(v) + max(shifts),
-    fit (see :func:`_narrow`); returned as int64 either way.
+    Here v_0 = v and e = len(v).  For the Apery vector v of a set X closed
+    under +S, v_j is the Apery vector of X plus j shifts.  With s_lo and s_hi
+    the least and largest shift, v_j lies in [min(v) + j s_lo, max(v) + j s_lo]
+    and the sums of step j in [min(v) + j s_lo, max(v) + (j - 1) s_lo + s_hi],
+    so one dtype fits every step (see :func:`_narrow`).  The windows are built
+    once and each step is written back into them; each is yielded as a fresh
+    int64 vector, so memory stays O(e) for any number of steps.
     """
     e = len(v)
     shifts = np.asarray(shifts, dtype=np.int64)
     v_lo, v_hi, s_lo, s_hi = int(v.min()), int(v.max()), int(shifts.min()), int(shifts.max())
     # a cast would wrap an operand outside int32, so the operands must fit as well
-    dt = _narrow(min(v_lo, s_lo, v_lo + s_lo), max(v_hi, s_hi, v_hi + s_hi))
+    dt = _narrow(min(v_lo, s_lo, v_lo + s_lo, v_lo + steps * s_lo),
+                 max(v_hi, s_hi, v_hi + max(0, (steps - 1) * s_lo) + s_hi))
     v, shifts = v.astype(dt, copy=False), shifts.astype(dt, copy=False)
     # v[(r - s) mod e] is entry r of the window of [v, v] that starts at e - (s mod e);
     # row j of this view is the window at j (sliding_window_view adds ~20 us per call)
     twice = np.concatenate([v, v])
     windows = np.ndarray((e + 1, e), dt, buffer=twice, strides=2 * twice.strides)
     starts = e - shifts % e
-    step = max(1, _GATHER_CELLS // e)
-    out = np.full(e, np.iinfo(dt).max, dtype=dt)
-    for lo in range(0, len(shifts), step):
-        block = windows[starts[lo : lo + step]]
-        block += shifts[lo : lo + step, None]  # in place: one block-sized temporary, not two
-        np.minimum(out, block.min(axis=0), out=out)
-    return out.astype(np.int64, copy=False)
+    per_block = max(1, _GATHER_CELLS // e)
+    for _ in range(steps):
+        out = np.full(e, np.iinfo(dt).max, dtype=dt)
+        for lo in range(0, len(shifts), per_block):
+            block = windows[starts[lo : lo + per_block]]
+            block += shifts[lo : lo + per_block, None]  # in place: one temporary per block, not two
+            np.minimum(out, block.min(axis=0), out=out)
+        yield out.astype(np.int64, copy=False)
+        twice[:e] = twice[e:] = out
+
+
+def _min_plus(v: np.ndarray, shifts) -> np.ndarray:
+    """out[r] = min over s in ``shifts`` of v[(r - s) mod e] + s: :func:`_min_plus_steps` once."""
+    return next(_min_plus_steps(v, shifts, 1))
 
 
 def _per_class(starts: np.ndarray, counts: np.ndarray, what: str) -> tuple[int, ...]:

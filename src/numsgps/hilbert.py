@@ -21,15 +21,14 @@ when k + 1 >= R.  So H(k) = e if and only if k >= R - 1, and
 The rows are walked once per semigroup, on demand: the cached ``_walk``
 resumes where the last call stopped, so ``hilbert_function(S, h_max)``
 builds at most h_max + 2 rows.  ``_from_rows`` reads their values, and each
-caller runs its own certificate.  Public Hilbert calls build the ideal
-powers hM as integer bitsets, each on its own window [he, he + W) with
-W = ceil((c + e) / e) e, reach (h+1)M by one right shift per generator, and
-insist that the H(h) = |hM \\ (h+1)M| counted there (one popcount per level)
-agree with the rows through ``stable_from`` (h_max without one).  That route
-never reads the rows, and its H(R-1) = e and H(R-2) < e pin R, so every
-later value.  The witness instead checks each duplication's rows against
-its parent's certified H pushed through the duplication formula, and runs
-the oracle on the seed only.
+caller runs its own certificate.  Public Hilbert calls rebuild the rows by
+their definition, W_{k+1} = min+(W_k, G) over all e classes and the minimal
+generators G, from W_0 = Ap(S), and insist that the H(k) read off those
+agree with the walk through ``stable_from`` (h_max without one).  That
+route knows neither the frontier nor W_2 off the generators, and its
+H(R-1) = e and H(R-2) < e pin R, so every later value.  The witness instead
+checks each duplication's rows against its parent's certified H pushed
+through the duplication formula, and runs the oracle on the seed only.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from .core import (
     _GATHER_CELLS, LISTING_LIMIT, NotMember, NumericalSemigroup, SemigroupError, _certify,
-    _min_plus, _narrow,
+    _min_plus, _min_plus_steps, _narrow,
 )
 
 
@@ -182,44 +181,23 @@ def element_order(S: NumericalSemigroup, s: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ideal powers as bitsets (oracle route)
+# ideal powers by the dense recurrence (oracle route)
 # ---------------------------------------------------------------------------
 
 def hilbert_by_set_construction(S: NumericalSemigroup, h_max: int) -> list[int]:
-    """H(0..h_max) via |hM \\ (h+1)M| on explicitly built ideal powers.
+    """H(0..h_max) via |kM \\ (k+1)M| on the Apery vectors of explicitly built ideal powers.
 
-    kM lies in [ke, oo) and contains [c + ke, oo), so level k is held on its
-    own window [ke, ke + W), W = ceil((c + e) / e) e, as one Python integer
-    whose bit j is set when ke + W - 1 - j is in kM, starting from 0M = S.
-    (k+1)M = kM + G for the minimal generators G, since M = G + S and kM is an
-    ideal; every member of window k + 1 is some x + g with x in window k, and
-    adding g moves bit j of window k to bit j - (g - e) of window k + 1, a
-    right shift.  kM \\ (k+1)M lies below c + (k+1)e <= ke + W, and the top e
-    bits of window k + 1 (from ke + W >= c + (k+1)e on) are all members, so
-    H(k) = |window k| - |window k + 1| + e: one popcount per level.
+    (k+1)M = kM + G for the minimal generators G, since M = G + S and kM is
+    an ideal, so W_{k+1} = Ap((k+1)M) is min+(W_k, G) over all e classes,
+    starting from W_0 = Ap(S).  kM \\ (k+1)M holds (W_{k+1}[r] - W_k[r]) / e
+    members of the class r, so H(k) = sum(W_{k+1} - W_k) / e.  One kernel
+    call runs every level in O(e) memory; W_k <= W_0 + k e bounds its dtype.
     """
-    e = S.multiplicity
-    rows = -(-(S.conductor + e) // e)
-    # bit j = i e + t stands for x = q e + r with q = rows - 1 - i, r = e - 1 - t,
-    # and x is in S exactly when q >= w[r] // e
-    floors = (S.w // e)[::-1]
-    step = 8 * max(1, _GATHER_CELLS // (8 * e))  # a multiple of 8 rows packs to whole bytes
-    packed = np.empty(-(-rows * e // 8), dtype=np.uint8)
-    for top in range(0, rows, step):
-        q = np.arange(rows - 1 - top, max(rows - 1 - top - step, -1), -1)
-        block = np.packbits(q[:, None] >= floors, bitorder="little")
-        packed[top * e // 8 : top * e // 8 + len(block)] = block
-    level = int.from_bytes(packed, "little")
-    del packed
-    shifts = sorted((g - e for g in S.min_gens), reverse=True)  # the accumulator grows
-    counts = [level.bit_count()]
-    for _ in range(h_max + 1):
-        nxt = level >> shifts[0]
-        for s in shifts[1:]:
-            nxt |= level >> s
-        level = nxt
-        counts.append(level.bit_count())
-    return [now - after + e for now, after in zip(counts, counts[1:])]
+    row, values = S.w, []
+    for nxt in _min_plus_steps(S.w, S.min_gens, h_max + 1):
+        values.append(int((nxt - row).sum()) // S.multiplicity)
+        row = nxt
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,14 @@ def test_duplicate_large_canonical_in_bounded_memory():
     assert "H = [1, 2, 3, 4]" in proc.stdout.splitlines()
 
 
+def test_duplicate_large_canonical_through_stabilization():
+    # T = <10007, 20018> has about 10^4 Hilbert levels and c near 2 * 10^8; the oracle
+    # checks every level with a few Apery vectors of e entries
+    proc = run_capped_cli(["duplicate", "10007,10009", "--ideal", "canonical", "--b", "10007"])
+    assert proc.returncode == 0, proc.stderr
+    assert "symmetric: True" in proc.stdout.splitlines()
+
+
 def test_duplicate_large_canonical_json_fails_fast():
     proc = run_capped_cli(LARGE_CANONICAL + ["--json"])
     assert proc.returncode == 2, proc.stderr

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import numsgps.core
 from numsgps import GcdError, NumericalSemigroup, is_symmetric, parse_generators, pseudo_frobenius
 from numsgps.cli import main
-from numsgps.core import APERY_LIMIT, MULTIPLICITY_LIMIT, _min_plus
+from numsgps.core import APERY_LIMIT, MULTIPLICITY_LIMIT, _min_plus, _min_plus_steps
 
 from conftest import brute_members
 
@@ -205,7 +205,8 @@ def test_apery_headroom_ceiling():
     _rejected_before_allocating([2**19 + 3, 2**40], "Apery values")
 
 
-# hi = max(v) + max(shifts) on, below and past the int32 margin; lo = min(v) + min(shifts) likewise
+# at one step, hi = max(v) + max(shifts) on, below and past the int32 margin;
+# lo = min(v) + min(shifts) likewise
 _INT32_EDGES = [2**31 - 2, 2**31 - 1, 2**31, -2**31 + 1, -2**31, -2**31 - 1]
 
 
@@ -213,21 +214,33 @@ _INT32_EDGES = [2**31 - 2, 2**31 - 1, 2**31, -2**31 + 1, -2**31, -2**31 - 1]
        st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=6),
        st.sampled_from(_INT32_EDGES),
        st.one_of(st.integers(min_value=-2**40, max_value=2**40),
-                 st.sampled_from([0, 2**31 - 100, -2**31 + 100])))
-@example([0], [0], 2**31 - 2, 0)
-@example([0, 5, 9], [3, 60], 2**31 - 1, 2**31 - 100)
-@example([7, 0], [1, 2], 2**31, 0)
-@example([0, 1, 2], [0, 4], -2**31 + 1, -2**31 + 100)
-@example([3, 1], [2], -2**31, 0)
-@example([3, 1], [2, 5], -2**31 - 1, 0)
-@example([0, 60], [0, 60], 2**31 - 2, 2**40)  # operands far outside int32, sums inside
+                 st.sampled_from([0, 2**31 - 100, -2**31 + 100])),
+       st.integers(min_value=1, max_value=4))
+@example([0], [0], 2**31 - 2, 0, 1)
+@example([0, 5, 9], [3, 60], 2**31 - 1, 2**31 - 100, 1)
+@example([7, 0], [1, 2], 2**31, 0, 1)
+@example([0, 1, 2], [0, 4], -2**31 + 1, -2**31 + 100, 1)
+@example([3, 1], [2], -2**31, 0, 1)
+@example([3, 1], [2, 5], -2**31 - 1, 0, 1)
+@example([0, 60], [0, 60], 2**31 - 2, 2**40, 1)  # operands far outside int32, sums inside
+@example([0, 5, 9], [3, 60], 2**31, 0, 3)  # steps 1 and 2 fit int32; a sum of step 3 is 2**31
+@example([3, 1], [2, 5], -2**31 + 1, 0, 4)  # s_lo < 0: v_4 falls to the lower margin
+@example([3, 1], [2, 5], -2**31 - 1, 0, 4)  # s_lo < 0: only v_4 falls past it
 @settings(max_examples=150, deadline=None)
-def test_min_plus_exact_across_the_int32_limits(v, shifts, edge, split):
-    # translate v by split and the shifts by the rest, so that hi (edge > 0) or lo lands on edge
-    total = edge - (max(v) + max(shifts) if edge > 0 else min(v) + min(shifts))
-    v = [x + split for x in v]
-    shifts = [s + total - split for s in shifts]
+def test_min_plus_exact_across_the_int32_limits(v, shifts, edge, split, steps):
+    # the extreme sum of the last step, max(v) + (steps - 1) min(shifts) + max(shifts) if
+    # edge > 0 and min(v) + steps min(shifts) else, lands on edge: v moves by split (plus
+    # the remainder), each shift by the rest divided by steps
+    extreme = (max(v) + (steps - 1) * min(shifts) + max(shifts) if edge > 0
+               else min(v) + steps * min(shifts))
+    move, rest = divmod(edge - extreme - split, steps)
+    v = [x + split + rest for x in v]
+    shifts = [s + move for s in shifts]
     e = len(v)
-    got = _min_plus(np.array(v, dtype=np.int64), shifts)
-    assert got.dtype == np.int64
-    assert got.tolist() == [min(v[(r - s) % e] + s for s in shifts) for r in range(e)]
+    want = [v]
+    for _ in range(steps):
+        want.append([min(want[-1][(r - s) % e] + s for s in shifts) for r in range(e)])
+    got = list(_min_plus_steps(np.array(v, dtype=np.int64), shifts, steps))
+    assert [row.dtype for row in got] == [np.int64] * steps
+    assert [row.tolist() for row in got] == want[1:]
+    assert _min_plus(np.array(v, dtype=np.int64), shifts).tolist() == want[1]

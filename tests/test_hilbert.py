@@ -290,7 +290,8 @@ def test_set_construction_oracle_matches_brute(gens, extra):
 
 
 def test_set_construction_oracle_memory_below_conductor_tables():
-    # c is about 10^8: each bitset on the window is 12.5 MB, a bool table over it 100 MB
+    # c is about 10^8, so a bool table over [0, c) takes 100 MB; the oracle holds
+    # a few Apery vectors of e = 10007 entries, 80 KB each in int64
     S = NumericalSemigroup.from_generators([10007, 10009])
     tracemalloc.start()
     try:
@@ -298,7 +299,7 @@ def test_set_construction_oracle_memory_below_conductor_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 << 20
+    assert peak < 1 << 20
     assert values == [1, 2, 3, 4]
 
 
@@ -424,8 +425,8 @@ def test_rows_of_two_generators_across_the_int32_limit(monkeypatch, b, dtype):
     _assert_rows_match_dense(S)
     assert chosen == [dtype]
     assert all(row.dtype == np.int64 for row in _rows(S))
-    # the bitset oracle on a conductor near 2**31 is out of reach; H(k) = min(k + 1, 3)
-    H = _from_rows(S, 4, extend=True)
+    # the oracle runs its dense rows near 2**31 too; H(k) = min(k + 1, 3)
+    H = hilbert_through_stabilization(S, 4)
     assert H == HilbertFunction(values=(1, 2, 3, 3, 3), stable_from=2)
 
 
@@ -458,6 +459,14 @@ def test_two_large_generators_hilbert_in_bounded_memory():
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "(1, 2, 3, 4)"
+
+
+def test_two_primes_near_30000_hilbert_under_256_mb():
+    # c is about 9 * 10^8; the interpreter with numpy needs about 128 MB of address space,
+    # and the oracle's rows of e = 30011 entries fit beside it
+    proc = run_capped_cli(["hilbert", "30011,30013", "--hmax", "3"], cap=256 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("H = [1, 2, 3, 4]\n")
 
 
 def test_two_large_generators_layers_in_bounded_memory():
@@ -617,8 +626,6 @@ def _count_rows(monkeypatch) -> list[int]:
 def test_bounded_hilbert_call_reads_only_its_rows(monkeypatch):
     # H(0..3) needs W_0..W_4 of the 30012 rows; H(h) = h + 1 for h < 30011 on <30011, 30013>
     read = _count_rows(monkeypatch)
-    monkeypatch.setattr(numsgps.hilbert, "hilbert_by_set_construction",
-                        lambda S, h_max: list(range(1, h_max + 2)))
     H = hilbert_function(NumericalSemigroup.from_generators([30011, 30013]), 3)
     assert H == HilbertFunction(values=(1, 2, 3, 4), stable_from=None)
     assert len(read) == 5

@@ -113,3 +113,35 @@ def test_unused_private_name_scan_catches_a_leftover():
         "b.py": ast.parse("from a import _used, _n\nimport a\nx = _used(a._LIMIT) + _n\n"),
     }
     assert _unused_private_names(trees) == ["a.py:4 _reflect"]
+
+
+def _names_read(tree: ast.Module, function: str) -> set[str]:
+    """The names and attributes that the module-level function ``function`` refers to."""
+    node = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(node)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _shared_hilbert_steps(tree: ast.Module) -> list[str]:
+    """Names that tie the Hilbert oracle to the row walk, or the row walk to the min+ kernel."""
+    oracle = _names_read(tree, "hilbert_by_set_construction")
+    rows = _names_read(tree, "_rows")
+    return sorted([f"hilbert_by_set_construction: {name}"
+                   for name in oracle & {"_rows", "_walk", "_from_rows", "_narrow"}]
+                  + [f"_rows: {name}" for name in rows if name.startswith("_min_plus")])
+
+
+def test_hilbert_routes_stay_independent():
+    # the oracle rebuilds every row by its definition; the walk reads W_2 off the
+    # generators and gathers over frontiers, never through the dense min+ kernel
+    path = next(path for path in SOURCES if path.name == "hilbert.py")
+    assert _shared_hilbert_steps(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_hilbert_route_scan_catches_a_leftover():
+    tree = ast.parse("def hilbert_by_set_construction(S, h_max):\n"
+                     "    return _walk(S).to(h_max + 1).counts\n"
+                     "def _rows(S):\n    yield core._min_plus_steps(S.w, S.min_gens, 1)\n")
+    assert _shared_hilbert_steps(tree) == ["_rows: _min_plus_steps",
+                                           "hilbert_by_set_construction: _walk"]
