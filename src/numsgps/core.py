@@ -23,8 +23,10 @@ formula rather than found by the round robin, is checked by two gathers in
 :func:`_certify_generators`.
 
 Storage stays int64.  The two vector kernels, the min-plus steps and the
-rows, compute in int32 whenever an a-priori bound on their values fits
-(:func:`_narrow`), and return int64 either way.
+rows, compute in the narrowest of int16, int32 and int64 that an a-priori
+bound on their values fits (:func:`_narrow`, the one place that names the
+narrow dtypes), and return int64 either way.  Index arithmetic stays in
+int64: a class index can reach e, and e may exceed what the values need.
 """
 
 from __future__ import annotations
@@ -65,10 +67,14 @@ class NotMember(SemigroupError):
     """An integer that was required to lie in the semigroup does not."""
 
 
+class CertificationError(SemigroupError, AssertionError):
+    """Two routes to a documented invariant disagree: a fault in this package, not in the input."""
+
+
 def _certify(ok: bool, message: str) -> None:
     """Fail a documented cross-check; an explicit raise also fires under ``python -O``."""
     if not ok:
-        raise AssertionError(message)
+        raise CertificationError(message)
 
 
 def _members(w: np.ndarray, x):
@@ -77,12 +83,17 @@ def _members(w: np.ndarray, x):
 
 
 def _narrow(lo: int, hi: int) -> type[np.signedinteger]:
-    """The dtype of a kernel whose values all lie in [lo, hi]: int32 if that fits, else int64.
+    """The dtype of a kernel whose values all lie in [lo, hi]: the narrowest of int16, int32, int64.
 
-    The upper margin is strict, so iinfo(int32).max stays a sentinel above
-    every value.
+    Both margins are strict for int16 and int32 alike, so iinfo(dt).max
+    stays a sentinel above every value.  Only the values are narrowed: a
+    caller keeps its index arithmetic in int64.
     """
-    return np.int32 if -(1 << 31) < lo and hi < (1 << 31) - 1 else np.int64
+    for dt in (np.int16, np.int32):
+        info = np.iinfo(dt)
+        if info.min < lo and hi < info.max:
+            return dt
+    return np.int64
 
 
 def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
@@ -99,15 +110,16 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
     e = len(v)
     shifts = np.asarray(shifts, dtype=np.int64)
     v_lo, v_hi, s_lo, s_hi = int(v.min()), int(v.max()), int(shifts.min()), int(shifts.max())
-    # a cast would wrap an operand outside int32, so the operands must fit as well
+    # v[(r - s) mod e] is entry r of the window of [v, v] that starts at e - (s mod e);
+    # the starts reach e, which need not fit the values' dtype, so they come from int64
+    starts = e - shifts % e
+    # a cast would wrap an operand outside the narrow dtype, so the operands must fit as well
     dt = _narrow(min(v_lo, s_lo, v_lo + s_lo, v_lo + steps * s_lo),
                  max(v_hi, s_hi, v_hi + max(0, (steps - 1) * s_lo) + s_hi))
     v, shifts = v.astype(dt, copy=False), shifts.astype(dt, copy=False)
-    # v[(r - s) mod e] is entry r of the window of [v, v] that starts at e - (s mod e);
     # row j of this view is the window at j (sliding_window_view adds ~20 us per call)
     twice = np.concatenate([v, v])
     windows = np.ndarray((e + 1, e), dt, buffer=twice, strides=2 * twice.strides)
-    starts = e - shifts % e
     per_block = max(1, _GATHER_CELLS // e)
     for _ in range(steps):
         out = np.full(e, np.iinfo(dt).max, dtype=dt)

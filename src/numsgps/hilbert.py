@@ -75,17 +75,18 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
     there on every row is the previous one plus e.  Rows are produced one at
     a time, so memory stays O(e) for any R.
 
-    The walk runs in int32 when :func:`core._narrow` allows it.  W_0[r] + ke
-    lies in kM, so W_k <= W_0 + ke, and the walk stops at R <= e, since the
-    reduction number R - 1 is at most e - 1.  So every row lies in
+    The walk runs in int16 or int32 when :func:`core._narrow` allows it.
+    W_0[r] + ke lies in kM, so W_k <= W_0 + ke, and the walk stops at R <= e,
+    since the reduction number R - 1 is at most e - 1.  So every row lies in
     [0, max(W_0) + e^2] and a row entry minus a generator in
     [-max(G), max(W_0) + e^2]; the bound max(W_0) + e^2 + max(G) covers the
-    generators as well.  Each row is yielded as int64.
+    generators as well.  Class indices stay int64, and each row is yielded
+    as int64.
     """
     e, top = S.multiplicity, S.min_gens[-1]
     dt = _narrow(-top, int(S.w.max()) + e * e + top)
-    shifts = np.array(S.min_gens[1:], dtype=dt)
-    steps = shifts % e
+    gens = np.array(S.min_gens[1:], dtype=np.int64)
+    steps, shifts = gens % e, gens.astype(dt)
     block = max(1, _GATHER_CELLS // max(1, len(shifts)))
     # one set of block buffers for the whole walk: fresh block-sized
     # temporaries go back to the OS and fault in again on every block

@@ -244,14 +244,16 @@ def nari_partition(S: NumericalSemigroup) -> NariPartition:
 def is_almost_symmetric(S: NumericalSemigroup, method: str = "definition") -> bool:
     """Almost symmetry, by definition (M + K(S) = M) or by Nari's criterion.
 
-    The Nari route demands alpha_i + alpha_{m-i} = alpha_m on the a-part and
+    M = G + S for the minimal generators G of S, so G generates M as an ideal
+    and M + K(S) is min+(K(S), G), with no gather for M's generators.  The
+    Nari route demands alpha_i + alpha_{m-i} = alpha_m on the a-part and
     beta_j + beta_{t-j} = alpha_m + e on the b-part of the Apery partition,
     each as one comparison of the part with its reverse.  Either answer is
     certified against Nari's equivalent condition 2g = F + t.
     """
     if method == "definition":
-        M = maximal_ideal(S)
-        almost = ideal_sum(M, standard_canonical_ideal(S)) == M
+        almost = np.array_equal(_min_plus(standard_canonical_ideal(S).w, S.min_gens),
+                                maximal_ideal(S).w)
     elif method == "nari":
         part = nari_partition(S)
         a, b = np.array(part.a), np.array(part.b, dtype=np.int64)

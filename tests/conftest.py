@@ -130,6 +130,20 @@ def count_gathers(monkeypatch) -> list[int]:
     return cells
 
 
+def record_narrow(monkeypatch, *modules) -> list[type]:
+    """Wrap ``_narrow`` in ``modules`` for the test; the list records each dtype it picks."""
+    chosen = []
+    narrow = numsgps.core._narrow
+
+    def recorded(lo, hi):
+        chosen.append(narrow(lo, hi))
+        return chosen[-1]
+
+    for module in modules:
+        monkeypatch.setattr(module, "_narrow", recorded)
+    return chosen
+
+
 def random_semigroup(rng: random.Random, max_mult: int = 9, genus_cap: int | None = None,
                      tries: int = 200) -> NumericalSemigroup:
     for _ in range(tries):

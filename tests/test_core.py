@@ -7,11 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numsgps.core
-from numsgps import GcdError, NumericalSemigroup, is_symmetric, parse_generators, pseudo_frobenius
+from numsgps import (
+    CertificationError, GcdError, NumericalSemigroup, SemigroupError, is_symmetric,
+    parse_generators, pseudo_frobenius,
+)
 from numsgps.cli import main
 from numsgps.core import APERY_LIMIT, MULTIPLICITY_LIMIT, _min_plus, _min_plus_steps
 
-from conftest import brute_members
+from conftest import brute_members, record_narrow, run_script
 
 
 def test_two_three():
@@ -205,16 +208,17 @@ def test_apery_headroom_ceiling():
     _rejected_before_allocating([2**19 + 3, 2**40], "Apery values")
 
 
-# at one step, hi = max(v) + max(shifts) on, below and past the int32 margin;
-# lo = min(v) + min(shifts) likewise
-_INT32_EDGES = [2**31 - 2, 2**31 - 1, 2**31, -2**31 + 1, -2**31, -2**31 - 1]
+# at one step, hi = max(v) + max(shifts) on, below and past the int16 and int32
+# margins; lo = min(v) + min(shifts) likewise
+_NARROW_EDGES = [2**15 - 2, 2**15 - 1, 2**15, -2**15 + 1, -2**15, -2**15 - 1,
+                 2**31 - 2, 2**31 - 1, 2**31, -2**31 + 1, -2**31, -2**31 - 1]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=9),
        st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=6),
-       st.sampled_from(_INT32_EDGES),
+       st.sampled_from(_NARROW_EDGES),
        st.one_of(st.integers(min_value=-2**40, max_value=2**40),
-                 st.sampled_from([0, 2**31 - 100, -2**31 + 100])),
+                 st.sampled_from([0, 2**15 - 100, -2**15 + 100, 2**31 - 100, -2**31 + 100])),
        st.integers(min_value=1, max_value=4))
 @example([0], [0], 2**31 - 2, 0, 1)
 @example([0, 5, 9], [3, 60], 2**31 - 1, 2**31 - 100, 1)
@@ -226,7 +230,12 @@ _INT32_EDGES = [2**31 - 2, 2**31 - 1, 2**31, -2**31 + 1, -2**31, -2**31 - 1]
 @example([0, 5, 9], [3, 60], 2**31, 0, 3)  # steps 1 and 2 fit int32; a sum of step 3 is 2**31
 @example([3, 1], [2, 5], -2**31 + 1, 0, 4)  # s_lo < 0: v_4 falls to the lower margin
 @example([3, 1], [2, 5], -2**31 - 1, 0, 4)  # s_lo < 0: only v_4 falls past it
-@settings(max_examples=150, deadline=None)
+@example([0, 5, 9], [3, 60], 2**15 - 2, 0, 3)  # a sum of step 3 is 2**15 - 2: int16 to the end
+@example([0, 5, 9], [3, 60], 2**15, 0, 3)  # steps 1 and 2 fit int16; a sum of step 3 is 2**15
+@example([0, 5, 9], [3, 60], 2**15 - 1, 2**15 - 100, 1)
+@example([3, 1], [2, 5], -2**15 + 1, 0, 4)  # s_lo < 0: v_4 falls to the int16 lower margin
+@example([3, 1], [2, 5], -2**15 - 1, 0, 4)  # s_lo < 0: only v_4 falls past it
+@settings(max_examples=200, deadline=None)
 def test_min_plus_exact_across_the_int32_limits(v, shifts, edge, split, steps):
     # the extreme sum of the last step, max(v) + (steps - 1) min(shifts) + max(shifts) if
     # edge > 0 and min(v) + steps min(shifts) else, lands on edge: v moves by split (plus
@@ -244,3 +253,37 @@ def test_min_plus_exact_across_the_int32_limits(v, shifts, edge, split, steps):
     assert [row.dtype for row in got] == [np.int64] * steps
     assert [row.tolist() for row in got] == want[1:]
     assert _min_plus(np.array(v, dtype=np.int64), shifts).tolist() == want[1]
+
+
+def test_min_plus_indices_stay_int64_when_e_passes_the_int16_range(monkeypatch):
+    # the values fit int16, but e does not: the window starts e - (s mod e) must come
+    # from int64 shifts, and the int16 sums must not wrap
+    e = 40000
+    v = np.arange(e, dtype=np.int64) - e // 2
+    chosen = record_narrow(monkeypatch, numsgps.core)
+    want = [v.tolist()]
+    for _ in range(2):
+        want.append([min(want[-1][(r - s) % e] + s for s in (1, 2)) for r in range(e)])
+    assert [row.tolist() for row in _min_plus_steps(v, [1, 2], 2)] == want[1:]
+    assert _min_plus(v, [1, 2]).tolist() == want[1]
+    assert chosen == [np.int16, np.int16]
+
+
+def test_certification_error_is_typed_and_fires_under_python_O():
+    # a domain error of this package that every AssertionError handler still catches
+    assert issubclass(CertificationError, SemigroupError)
+    assert issubclass(CertificationError, AssertionError)
+    # <4, 5> do not generate the Apery set of <4, 5, 6>; -O strips assert statements only
+    proc = run_script(
+        "import sys\n"
+        "import numsgps.core as core\n"
+        "S = core.NumericalSemigroup.from_generators([4, 5, 6])\n"
+        "try:\n"
+        "    core._certify_generators((4, 5), S.w, 'closed form')\n"
+        "except core.CertificationError as exc:\n"
+        "    print(sys.flags.optimize, isinstance(exc, AssertionError), exc)\n",
+        "-O",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("1 True closed form: generators do not generate the closed-form"
+                           " Apery set\n")

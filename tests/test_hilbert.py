@@ -24,6 +24,8 @@ from numsgps import (
     hilbert_function,
     hilbert_through_stabilization,
     ideal_sum,
+    is_almost_symmetric,
+    is_excluded_level,
     layer_sets,
     maximal_ideal,
     order_table,
@@ -42,6 +44,7 @@ from conftest import (
     count_gathers,
     dense_apery_rows,
     random_semigroup,
+    record_narrow,
     run_capped,
     run_capped_cli,
 )
@@ -408,19 +411,14 @@ def test_apery_rows_across_gather_blocks(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("b,dtype", [
+    (10919, np.int16),  # the rows' bound 2b + 3^2 + b = 32766 stays under 2**15 - 1
+    (10921, np.int32),  # 32772: just over
     (715827878, np.int32),  # the rows' bound 2b + 3^2 + b = 2**31 - 5 stays under 2**31 - 1
     (715827880, np.int64),  # 2**31 + 1: just over
     (1100000000, np.int64),  # W_0 holds 2b > 2**31: int32 would wrap
 ])
 def test_rows_of_two_generators_across_the_int32_limit(monkeypatch, b, dtype):
-    chosen = []
-    narrow = numsgps.hilbert._narrow
-
-    def recorded(lo, hi):
-        chosen.append(narrow(lo, hi))
-        return chosen[-1]
-
-    monkeypatch.setattr(numsgps.hilbert, "_narrow", recorded)
+    chosen = record_narrow(monkeypatch, numsgps.hilbert)
     S = NumericalSemigroup.from_generators([3, b])
     _assert_rows_match_dense(S)
     assert chosen == [dtype]
@@ -432,7 +430,9 @@ def test_rows_of_two_generators_across_the_int32_limit(monkeypatch, b, dtype):
 
 def test_int64_kernels_agree_with_narrowed(rng, monkeypatch):
     cases = [random_semigroup(rng, max_mult=12) for _ in range(50)]
-    cases += [construct_asd(ell).semigroup for ell in range(4, 9)]
+    cases += [construct_asd(ell).semigroup for ell in range(4, 20) if not is_excluded_level(ell)]
+    report = gorenstein_witness(4, 3)
+    cases += [step.semigroup for step in report.chain] + [report.final]
 
     def kernels(S):
         _walk.cache_clear()
@@ -440,9 +440,12 @@ def test_int64_kernels_agree_with_narrowed(rng, monkeypatch):
         K, M = standard_canonical_ideal(S), maximal_ideal(S)
         return ([row.tolist() for row in _rows(S)], hilbert_through_stabilization(S),
                 _min_plus(S.w, S.min_gens).tolist(), _min_plus(-S.w, S.min_gens).tolist(),
-                ideal_sum(M, K).w.tolist(), K.minimal_generators(), pseudo_frobenius(S))
+                ideal_sum(M, K).w.tolist(), K.minimal_generators(), pseudo_frobenius(S),
+                is_almost_symmetric(S))
 
+    chosen = record_narrow(monkeypatch, numsgps.core, numsgps.hilbert)
     narrowed = [kernels(S) for S in cases]
+    assert {np.int16, np.int32} <= set(chosen)
     for module in (numsgps.core, numsgps.hilbert):
         monkeypatch.setattr(module, "_narrow", lambda lo, hi: np.int64)
     assert [kernels(S) for S in cases] == narrowed

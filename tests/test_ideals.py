@@ -245,8 +245,13 @@ def test_nari_vectors_agree_with_definition(gens):
 
 
 def test_almost_symmetry_certificate_fires_under_python_O():
-    # a definition route that answers True on the non-almost-symmetric <4,5,11>
-    proc = _exit_under_python_O("numsgps.ideals.ideal_sum = lambda E, F: E", ["info", "4,5,11"])
+    # a definition route that answers True on the non-almost-symmetric <4,5,11>: the
+    # maximal ideal it compares M + K(S) with is replaced by M + K(S) itself
+    proc = _exit_under_python_O(
+        "import numsgps.ideals as I\nM = I.maximal_ideal\n"
+        "I.maximal_ideal = lambda S: I.ideal_sum(M(S), I.standard_canonical_ideal(S))",
+        ["info", "4,5,11"],
+    )
     assert proc.returncode == 4, proc.stderr
     assert "almost symmetry by definition disagrees with Nari's 2g = F + t" in proc.stderr
     # a Nari route that answers False on the almost symmetric level-4 construction

@@ -145,3 +145,44 @@ def test_hilbert_route_scan_catches_a_leftover():
                      "def _rows(S):\n    yield core._min_plus_steps(S.w, S.min_gens, 1)\n")
     assert _shared_hilbert_steps(tree) == ["_rows: _min_plus_steps",
                                            "hilbert_by_set_construction: _walk"]
+
+
+def _dtype_name(node: ast.AST):
+    """The name an ``np.x`` attribute, a bare name, an import or a string constant spells."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _narrow_dtypes_named(trees: dict[str, ast.Module]) -> list[str]:
+    """Each int8, int16 or int32 named outside ``core._narrow``, which alone picks narrow dtypes."""
+    found = []
+    for module, tree in trees.items():
+        picker = set()
+        if module == "core.py":
+            narrow = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_narrow")
+            picker = {id(node) for node in ast.walk(narrow)}
+        found += [f"{module}:{node.lineno} {_dtype_name(node)}" for node in ast.walk(tree)
+                  if _dtype_name(node) in ("int8", "int16", "int32") and id(node) not in picker]
+    return sorted(found)
+
+
+def test_narrow_dtypes_are_picked_in_one_place():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert _narrow_dtypes_named(trees) == []
+
+
+def test_narrow_dtype_scan_catches_a_leftover():
+    trees = {
+        "core.py": ast.parse("def _narrow(lo, hi):\n    return np.int16 if hi < 9 else np.int32\n"
+                             "def _rows(v):\n    return v.astype('int32')\n"),
+        "hilbert.py": ast.parse("x = np.zeros(3, dtype=np.int8)\ny = np.int64\n"
+                                "from numpy import int16\n"),
+    }
+    assert _narrow_dtypes_named(trees) == ["core.py:4 int32", "hilbert.py:1 int8",
+                                           "hilbert.py:3 int16"]
