@@ -128,6 +128,9 @@ def construct_asd(ell: int) -> ConstructionData:
         raise ExcludedEll(f"level {ell} is excluded (no construction exists)")
 
     e, n1, n2 = _base_parameters(ell)
+    # ell * n1 = F + e is the largest Apery element, so it bounds every generator;
+    # checked before the families, which hold about ell^2 entries
+    _check_size(e, ell * n1)
     t1 = (ell + 1) * n1 - (ell - 1) * e
     t2 = ell * n1 + e - t1
 
@@ -154,7 +157,6 @@ def construct_asd(ell: int) -> ConstructionData:
     gamma = tuple(sorted(gamma_set))
     _certify(len(gamma) == e - ell - 1, "generating families collide unexpectedly")
 
-    _check_size(e, gamma[-1])
     where = f"construction at level {ell}"
     family = np.array(_residue_family(ell, n1, n2, t1, t2, s_family, r_family), dtype=np.int64)
     classes = family % e

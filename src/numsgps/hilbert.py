@@ -18,9 +18,12 @@ by 0 or e, H(k) = e exactly when every class rises at level k + 1, that is
 when k + 1 >= R.  So H(k) = e if and only if k >= R - 1, and
 ``stable_from`` is R - 1.
 
-The rows are walked once per semigroup, on demand: the cached ``_walk``
-resumes where the last call stopped, so ``hilbert_function(S, h_max)``
-builds at most h_max + 2 rows.  ``_from_rows`` reads their values, and each
+The rows are walked on demand and never kept: ``_walk(S, levels)`` reads
+them only as far as a call needs, so ``hilbert_function(S, h_max)`` builds
+at most h_max + 2 rows, and caches just the counts and the Apery orders,
+O(e) per entry.  A call that asks a new level count walks again from W_0;
+the full walk, which ``apery_table`` and the stabilized Hilbert calls
+share, is read once per semigroup.  ``_from_rows`` reads its values, and each
 caller runs its own certificate.  Public Hilbert calls rebuild the rows by
 their definition, W_{k+1} = min+(W_k, G) over all e classes and the minimal
 generators G, from W_0 = Ap(S), and insist that the H(k) read off those
@@ -120,37 +123,22 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
         row = nxt
 
 
-class _Walk:
-    """The rows of one semigroup, read as far as asked; resumable.
+@lru_cache(maxsize=64)  # shared by every call on the same semigroup and level count
+def _walk(S: NumericalSemigroup, levels: int | None) -> tuple[tuple[int, ...], np.ndarray]:
+    """H(0..levels-1) and the Apery orders off the rows W_1..W_levels, or through W_R if None.
 
-    With W_k the last row read, ``counts`` is H(0..k-1), H(j) = sum(W_{j+1} -
-    W_j) / e, and ``apery_orders[r]`` is #{1 <= j <= k : W_j[r] = W_0[r]}.  At
-    W_R, where H(R-1) = e first, the walk drops its row generator.
+    ``counts[j]`` is H(j) = sum(W_{j+1} - W_j) / e and ``apery_orders[r]`` is
+    #{j >= 1 : W_j[r] = W_0[r]} over the rows read.  The rows end at W_R, where
+    H(R-1) = e first.  Both results are shared, so both are read-only.
     """
-
-    def __init__(self, S: NumericalSemigroup):
-        self.rows = _rows(S)
-        self.w = self.row = next(self.rows)
-        self.counts: list[int] = []
-        self.apery_orders = np.zeros(len(self.w), dtype=np.int64)
-
-    def to(self, levels: int | None) -> _Walk:
-        """Read rows until H(0..levels-1) is known, or through W_R if ``levels`` is None."""
-        while self.rows is not None and (levels is None or len(self.counts) < levels):
-            try:
-                row = next(self.rows)
-            except BaseException:  # a generator that raised cannot resume: walk afresh next time
-                _walk.cache_clear()
-                raise
-            self.counts.append(int((row - self.row).sum()) // len(row))
-            self.apery_orders += row == self.w
-            self.row = row
-            if self.counts[-1] == len(row):
-                self.rows = None
-        return self
-
-
-_walk = lru_cache(maxsize=64)(_Walk)  # the one walk per semigroup that every call shares
+    counts, row = [], S.w
+    apery_orders = np.zeros(len(row), dtype=np.int64)
+    for nxt in islice(_rows(S), 1, None if levels is None else levels + 1):
+        counts.append(int((nxt - row).sum()) // len(row))
+        apery_orders += nxt == S.w
+        row = nxt
+    apery_orders.flags.writeable = False
+    return tuple(counts), apery_orders
 
 
 def _orders(S: NumericalSemigroup, s: np.ndarray) -> np.ndarray:
@@ -248,7 +236,7 @@ def _from_rows(S: NumericalSemigroup, h_max: int, extend: bool) -> HilbertFuncti
     """
     if h_max > LISTING_LIMIT:
         raise ValueError(f"h_max {h_max} exceeds the supported range 2**22")
-    counts = _walk(S).to(None if extend else h_max + 1).counts
+    counts = _walk(S, None if extend else h_max + 1)[0]
     # stable_from is R - 1 once W_R is read; short of it, R - 1 >= len(counts) > h_max
     start = len(counts) - 1 if counts[-1] == S.multiplicity else len(counts)
     h_max = max(h_max, start) if extend else h_max
@@ -327,7 +315,7 @@ def apery_table(S: NumericalSemigroup) -> AperyTable:
 
     An Apery element a = W_0[r] lies in kM exactly when W_k[r] = W_0[r].
     """
-    apery_orders = _walk(S).to(None).apery_orders
+    apery_orders = _walk(S, None)[1]
     orders = dict(sorted(zip(S.w.tolist(), apery_orders.tolist())))
     elements = tuple(orders)
     strata = _grouped(apery_orders[1:], S.w[1:])  # class 0 holds 0, of order 0

@@ -188,3 +188,13 @@ def test_witness_past_size_limit_fails_fast():
     assert proc.returncode == 2, proc.stderr
     assert "error: multiplicity 67108864 exceeds the supported range 2**24" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["construct", "--ell", "99999999999"],
+                                  ["witness", "--level", "99999999999", "--drop", "1"]])
+def test_construction_past_size_limit_fails_before_its_families(argv):
+    # the s and r families hold about ell^2 / 2 entries each; the size check comes first
+    proc = run_capped_cli(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the supported range 2**40" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -637,16 +637,21 @@ def test_bounded_hilbert_call_reads_only_its_rows(monkeypatch):
     assert len(read) == 5
 
 
-def test_walk_resumes_and_builds_each_row_once(monkeypatch):
+def test_walk_reads_rows_per_level_count_once(monkeypatch):
     # R = 3 on <5, 7, 9, 11>: W_0..W_3 are all the rows there are
     read = _count_rows(monkeypatch)
     S = NumericalSemigroup.from_generators([5, 7, 9, 11])
     assert hilbert_function(S, 1).stable_from is None
     assert len(read) == 3
-    assert hilbert_function(S, 2).stable_from == 2
-    assert len(read) == 4
+    assert hilbert_function(S, 1).stable_from is None
+    assert len(read) == 3
+    # the stabilized call and the Apery table share the full walk
+    assert hilbert_through_stabilization(S).stable_from == 2
     apery_table(S)
-    assert len(read) == 4
+    assert len(read) == 3 + 4
+    # a new level count walks afresh from W_0
+    assert hilbert_function(S, 2).stable_from == 2
+    assert len(read) == 3 + 4 + 4
 
 
 def test_interrupted_walk_is_walked_afresh(monkeypatch):
@@ -663,6 +668,51 @@ def test_interrupted_walk_is_walked_afresh(monkeypatch):
         hilbert_through_stabilization(S)
     monkeypatch.setattr(numsgps.hilbert, "_rows", rows)
     assert hilbert_through_stabilization(S).values == tuple(brute_hilbert(S.min_gens, 2))
+
+
+def test_interrupted_walk_keeps_other_cached_walks(monkeypatch):
+    read = _count_rows(monkeypatch)
+    counted = numsgps.hilbert._rows
+    S, T = (NumericalSemigroup.from_generators(g) for g in ([5, 7, 9, 11], [4, 6, 7]))
+    hilbert_through_stabilization(T)
+
+    def interrupted(U):
+        yield from islice(counted(U), 2)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(numsgps.hilbert, "_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        hilbert_through_stabilization(S)
+    monkeypatch.setattr(numsgps.hilbert, "_rows", counted)
+    before, hits = len(read), _walk.cache_info().hits
+    apery_table(T)
+    assert (len(read), _walk.cache_info().hits) == (before, hits + 1)
+
+
+def test_cached_walk_cannot_be_written():
+    counts, apery_orders = _walk(NumericalSemigroup.from_generators([5, 7, 9, 11]), None)
+    with pytest.raises(ValueError, match="read-only"):
+        apery_orders[1] = 0
+    with pytest.raises(TypeError):
+        counts[0] = 0
+    _walk.cache_clear()
+
+
+def test_cached_walks_retain_no_row_buffers():
+    # a full cache of bounded walks holds counts and orders, O(e) each, and no
+    # suspended row generator with its gather blocks
+    _walk.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(64):
+            hilbert_function(NumericalSemigroup.from_generators([7, 8 + 7 * k, 9 + 7 * k]), 1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _walk.cache_info().currsize == 64
+    assert retained < 2 << 20
+    _walk.cache_clear()
 
 
 def test_oracle_stops_at_stable_from(monkeypatch):

@@ -115,6 +115,29 @@ def test_unused_private_name_scan_catches_a_leftover():
     assert _unused_private_names(trees) == ["a.py:4 _reflect"]
 
 
+def _catch_all_handlers(tree: ast.Module) -> list[int]:
+    """Lines of each bare ``except:`` and each handler that names ``BaseException``."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+                  and (node.type is None or any(
+                      getattr(n, "id", getattr(n, "attr", None)) == "BaseException"
+                      for n in ast.walk(node.type))))
+
+
+def test_no_catch_all_handlers_in_package():
+    # such a handler also catches KeyboardInterrupt and SystemExit; name what the call raises
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in _catch_all_handlers(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+
+
+def test_catch_all_scan_catches_a_leftover():
+    tree = ast.parse("try:\n    f()\nexcept ValueError:\n    pass\nexcept:\n    raise\n"
+                     "try:\n    g()\nexcept (OSError, BaseException):\n    raise\n"
+                     "try:\n    h()\nexcept builtins.BaseException as exc:\n    raise\n"
+                     "try:\n    k()\nexcept Exception:\n    pass\n")
+    assert _catch_all_handlers(tree) == [5, 9, 13]
+
+
 def _names_read(tree: ast.Module, function: str) -> set[str]:
     """The names and attributes that the module-level function ``function`` refers to."""
     node = next(node for node in tree.body
