@@ -19,7 +19,7 @@ oracle one per level.  The Hilbert rows of :mod:`numsgps.hilbert` do not:
 ``_rows`` reads Ap(2M) off the minimal generators and from there gathers
 only over the frontier of classes that stayed put at the last level.  A
 semigroup given in closed form, its Apery vector and generators read off a
-formula rather than found by the round robin, is checked by two gathers in
+formula rather than found by the round robin, is checked by one gather in
 :func:`_certify_generators`.
 
 Storage stays int64.  The two vector kernels, the min-plus steps and the
@@ -161,13 +161,17 @@ def _check_size(e: int, top: int) -> None:
 
 
 def _relax(w: np.ndarray, g: int) -> None:
-    """Close the Apery vector ``w`` under +g in place.
+    """Close the Apery vector ``w`` under +g > 0 in place.
 
     Relaxes w[r + g] against w[r] + g along each cycle r -> r + g (mod e);
     one prefix minimum over the cycle taken twice around passes every
-    start, including the cycle's minimum.
+    start, including the cycle's minimum.  A multiple g of e changes
+    nothing, as w[r] + g >= w[r] lies in the class of w[r], so it returns
+    at once.
     """
     e = len(w)
+    if g % e == 0:
+        return
     d = math.gcd(g, e)
     length = e // d
     # row c < d walks c, c + g, c + 2g, ... (mod e) twice around its cycle
@@ -183,22 +187,27 @@ def _relax(w: np.ndarray, g: int) -> None:
 def _certify_generators(G: tuple[int, ...], w: np.ndarray, where: str) -> None:
     """G must be the minimal generators of the set T with Apery vector ``w``.
 
-    With m = len(w), min+(w, G) is the Apery vector of T + G.  It equals w
-    with w[0] = m, the vector of T \\ {0}, exactly when every positive
-    member of T is a smaller member plus some g; with G inside T that gives
-    T = <G>.  Then min+ once more is the vector of M + M with M = T \\ {0},
-    and g is a minimal generator exactly when it lies below that.  ``where``
-    names the route whose closed form is being certified.
+    Let w_1 be w with w_1[0] = m = len(w), the vector of M = T \\ {0}, and
+    A_2 = min+(w_1, G), the vector of M + G.  w[0] must be 0, and w_1
+    differs from w only there, so min+(w, G), the vector of T + G, is
+    min(A_2, gamma) for gamma[c] the least g in the class c: the terms
+    w[0] + g are the g themselves.  T + G = M exactly when every positive member of T is a
+    smaller member plus some g; with G inside T that gives T = <G>.  Then
+    A_2 is the vector of M + M, and g is a minimal generator exactly when it
+    lies below A_2[g mod m].  So one gather certifies both.  ``where`` names
+    the route whose closed form is being certified.
     """
     m = len(w)
     g = np.asarray(G, dtype=np.int64)
+    classes = g % m
     maximal = w.copy()
     maximal[0] = m
-    reached = _min_plus(w, g)
-    _certify(_members(w, g).all() and np.array_equal(reached, maximal),
+    reached = _min_plus(maximal, g)
+    above = reached[classes]
+    np.minimum.at(reached, classes, g)  # in place: min+(w, G), no second vector of length m
+    _certify(w[0] == 0 and _members(w, g).all() and np.array_equal(reached, maximal),
              f"{where}: generators do not generate the closed-form Apery set")
-    _certify((g < _min_plus(reached, g)[g % m]).all(),
-             f"{where}: a generator is a sum of two others")
+    _certify((g < above).all(), f"{where}: a generator is a sum of two others")
 
 
 def _round_robin(glist: list[int]) -> tuple[tuple[int, ...], np.ndarray]:

@@ -6,7 +6,12 @@ the sumset).  It is symmetric exactly when E is a canonical ideal.  Its
 minimal generators and its Apery vector follow in closed form from those of
 S and E (D'Anna-Strazzanti), so a duplication costs a few O(e) vector
 operations plus a certificate that the two agree, and no generator is ever
-fed back through :meth:`NumericalSemigroup.from_generators`.
+fed back through :meth:`NumericalSemigroup.from_generators`.  The closed
+form needs E's minimal generators x and the Apery vector of E + E, which
+the public route gathers; the witness reads both off data its caller
+already holds.  Along M, x is S's minimal generators and E + E = 2M has
+the vector W_2 of the Hilbert rows; along K + f + 1, x is 2f + 1 - PF(S).
+Either way the certificate, one gather, still runs on every build.
 
 Duplicating along the maximal ideal doubles every positive Hilbert value and
 maps the type t to 2t + 1 while preserving almost symmetry; iterating this
@@ -33,11 +38,12 @@ from .core import (
     _relax,
 )
 from .construction import construct_asd, is_excluded_level
-from .hilbert import HilbertFunction, _from_rows, hilbert_through_stabilization
+from .hilbert import HilbertFunction, _from_rows, _second_power, hilbert_through_stabilization
 from .ideals import (
     RelativeIdeal,
     is_symmetric,
     maximal_ideal,
+    pseudo_frobenius,
     semigroup_type,
     standard_canonical_ideal,
 )
@@ -68,16 +74,9 @@ def numerical_duplication(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> Nu
 
     E need not be contained in S, but D = E + E + b must land in S (automatic
     for proper E); otherwise the union fails to be closed and
-    IdealSumViolation is raised.
-
-    Nothing is rebuilt from generators.  The minimal generators are read off
-    S, E and D: 2n for the minimal generators n of S outside D (2n splits
-    only into two odd members, i.e. n in D), and 2x + b for every minimal
-    generator x of E (the only split, 2y + b + 2s with s in M, means x in
-    E + M).  Mod 2e the class minima are 2 * w_S on the even classes and
-    2 * w_E + b on the odd ones; folded to the multiplicity m = min(gens),
-    which is below 2e only for non-proper E, and closed under +2e, they give
-    the Apery vector.  Both are certified against each other.
+    IdealSumViolation is raised.  Nothing is rebuilt from generators: E's
+    minimal generators x and E + E = min+(E.w, x) are gathered, and
+    :func:`_duplicate` builds and certifies the closed form from them.
     """
     if b % 2 == 0:
         raise EvenB(f"duplication needs an odd b, got {b}")
@@ -86,7 +85,26 @@ def numerical_duplication(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> Nu
     if E.ambient != S:
         raise ValueError("ideal must live over the semigroup being duplicated")
     x = np.array(E.minimal_generators(), dtype=np.int64)
-    D = RelativeIdeal._of(S, _min_plus(E.w, x)).shift(b)  # E + E + b
+    return _duplicate(S, E, x, _min_plus(E.w, x), b)
+
+
+def _duplicate(S: NumericalSemigroup, E: RelativeIdeal, x: np.ndarray, sum_w: np.ndarray,
+               b: int) -> NumericalSemigroup:
+    """The duplication of S along E with odd b in S, given E's data from the caller.
+
+    x must be E's minimal generators and ``sum_w`` the Apery vector of
+    E + E; the caller has checked b.  Nothing is rebuilt from generators.
+    The minimal generators are read off S, E and D = E + E + b: 2n for the
+    minimal generators n of S outside D (2n splits only into two odd
+    members, i.e. n in D), and 2x + b for every minimal generator x of E
+    (the only split, 2y + b + 2s with s in M, means x in E + M).  Mod 2e the
+    class minima are 2 * w_S on the even classes and 2 * w_E + b on the odd
+    ones; folded to the multiplicity m = min(gens), which is below 2e only
+    for non-proper E, and closed under +2e, they give the Apery vector.
+    Both are certified against each other, so a wrong x or ``sum_w`` raises
+    rather than build a wrong semigroup.
+    """
+    D = RelativeIdeal._of(S, sum_w).shift(b)  # E + E + b
     outside = D.w[D.w < S.w]
     if len(outside):
         raise IdealSumViolation(f"{int(outside.min()) - b} + {b} lies in E + E + b but outside S")
@@ -101,6 +119,18 @@ def numerical_duplication(S: NumericalSemigroup, E: RelativeIdeal, b: int) -> Nu
     _relax(w, 2 * S.multiplicity)
     _certify_generators(G, w, "duplication")
     return NumericalSemigroup(G, w)
+
+
+def _canonical_duplication(S: NumericalSemigroup, b: int) -> NumericalSemigroup:
+    """The duplication of S along the proper canonical ideal E = K + f + 1 with odd b in S.
+
+    K's minimal generators are f - PF(S) (see :func:`pseudo_frobenius`), so
+    E's are 2f + 1 - PF(S), read off the cached PF numbers with no gather.
+    """
+    f = S.frobenius
+    E = standard_canonical_ideal(S).shift(f + 1)
+    x = 2 * f + 1 - np.array(pseudo_frobenius(S)[::-1], dtype=np.int64)
+    return _duplicate(S, E, x, _min_plus(E.w, x), b)
 
 
 def predicted_duplication_hilbert(
@@ -171,7 +201,9 @@ def _chain(S0: NumericalSemigroup, steps: int) -> tuple[list[NumericalSemigroup]
     for _ in range(steps):
         S = chain[-1]
         bs.append(smallest_odd_element(S))
-        chain.append(numerical_duplication(S, maximal_ideal(S), bs[-1]))
+        # M's minimal generators are S's, and M + M = 2M has the vector W_2
+        gens = np.array(S.min_gens, dtype=np.int64)
+        chain.append(_duplicate(S, maximal_ideal(S), gens, _second_power(S), bs[-1]))
     return chain, bs
 
 
@@ -297,8 +329,7 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
 
     last = steps[-1]
     final_b = smallest_odd_element(last.semigroup)
-    E = standard_canonical_ideal(last.semigroup).shift(last.semigroup.frobenius + 1)
-    final = numerical_duplication(last.semigroup, E, final_b)
+    final = _canonical_duplication(last.semigroup, final_b)  # PF(last) is cached by now
     H_final = _from_rows(final, level + 1, extend=True)
     _certify(H_final == predicted_duplication_hilbert(last.hilbert, last.type, H_final.h_max),
              "Apery-row and duplication-formula Hilbert values disagree at the final duplication")

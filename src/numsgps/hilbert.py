@@ -20,11 +20,11 @@ when k + 1 >= R.  So H(k) = e if and only if k >= R - 1, and
 
 The rows are walked on demand and never kept: ``_walk(S, levels)`` reads
 them only as far as a call needs, so ``hilbert_function(S, h_max)`` builds
-at most h_max + 2 rows, and caches just the counts and the Apery orders,
-O(e) per entry.  A call that asks a new level count walks again from W_0;
-the full walk, which ``apery_table`` and the stabilized Hilbert calls
-share, is read once per semigroup.  ``_from_rows`` reads its values, and each
-caller runs its own certificate.  Public Hilbert calls rebuild the rows by
+at most h_max + 2 rows, and caches just the counts; the full walk, which
+``apery_table`` and the stabilized Hilbert calls share, also keeps the
+Apery orders, O(e), and is read once per semigroup.  A call that asks a
+new level count walks again from W_0.  ``_from_rows`` reads its values,
+and each caller runs its own certificate.  Public Hilbert calls rebuild the rows by
 their definition, W_{k+1} = min+(W_k, G) over all e classes and the minimal
 generators G, from W_0 = Ap(S), and insist that the H(k) read off those
 agree with the walk through ``stable_from`` (h_max without one).  That
@@ -57,6 +57,22 @@ class NotStabilized(SemigroupError):
 # Apery vectors of the powers kM (production route)
 # ---------------------------------------------------------------------------
 
+def _second_power(S: NumericalSemigroup) -> np.ndarray:
+    """W_2 = Ap(2M) read off the minimal generators, with no gather.
+
+    A nonzero Apery element lies in 2M exactly when it is not a minimal
+    generator, each minimal generator g != e is the Apery element of its
+    class, and e is not in 2M.  So W_2 is W_1 = Ap(M), which is W_0 with
+    W_1[0] = e, plus e on class 0 and the classes g mod e.  This leans on
+    ``S.min_gens`` being minimal.
+    """
+    e = S.multiplicity
+    row = S.w.copy()
+    row[0] = e
+    row[np.r_[0, np.array(S.min_gens[1:], dtype=np.int64) % e]] += e
+    return row
+
+
 def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
     """Yield the rows W_0, ..., W_R with W_k = Ap(kM) with respect to e, 0M = S.
 
@@ -67,12 +83,10 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
     W_k[s] = W_{k-1}[s] + e, then W_k[s] + g >= W_k[r] + e, as (k-1)M + g
     lies in kM; so only the frontier Z_k = {s : W_k[s] = W_{k-1}[s]} can
     keep a class, and g = e never does.  W_1 = Ap(M) is W_0 with W_1[0] = e,
-    so Z_1 = {r != 0}.  W_2 = Ap(2M) needs no gather: a nonzero Apery element
-    lies in 2M exactly when it is not a minimal generator, each minimal
-    generator g != e is the Apery element of its class, and e is not in 2M.
-    So W_2 is W_1 plus e on class 0 and the classes g mod e, and Z_2 is every
-    other nonzero class (this leans on ``S.min_gens`` being minimal).  Each
-    level k >= 2 thus costs O(e) plus |Z_k| (nu - 1) gathered cells, and a
+    so Z_1 = {r != 0}.  W_2 = Ap(2M) needs no gather (:func:`_second_power`):
+    it is W_1 plus e on class 0 and the classes g mod e of the minimal
+    generators, and Z_2 is every other nonzero class.  Each level k >= 2
+    thus costs O(e) plus |Z_k| (nu - 1) gathered cells, and a
     semigroup with nu = e gathers none.  R is the reduction index, the first
     k >= 1 with Z_k empty, that is W_k = W_{k-1} + e (kM = (k-1)M + e); from
     there on every row is the previous one plus e.  Rows are produced one at
@@ -101,9 +115,9 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
     row[0] = e
     yield row.astype(np.int64, copy=False)
     if e > 1:  # W_2 with no gather: the generators' classes and class 0 rise, the rest stay
-        row = row.copy()
-        row[np.r_[0, steps]] += e
-        yield row.astype(np.int64, copy=False)
+        second = _second_power(S)
+        yield second
+        row = second.astype(dt)
     frontier = np.flatnonzero(row == S.w)  # Z_2, or Z_1 = {} when e = 1
     while len(frontier):
         nxt = row + e
@@ -124,20 +138,24 @@ def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
 
 
 @lru_cache(maxsize=64)  # shared by every call on the same semigroup and level count
-def _walk(S: NumericalSemigroup, levels: int | None) -> tuple[tuple[int, ...], np.ndarray]:
-    """H(0..levels-1) and the Apery orders off the rows W_1..W_levels, or through W_R if None.
+def _walk(S: NumericalSemigroup, levels: int | None) -> tuple[tuple[int, ...], np.ndarray | None]:
+    """H(0..levels-1) off the rows W_1..W_levels, or through W_R with the Apery orders if None.
 
-    ``counts[j]`` is H(j) = sum(W_{j+1} - W_j) / e and ``apery_orders[r]`` is
-    #{j >= 1 : W_j[r] = W_0[r]} over the rows read.  The rows end at W_R, where
-    H(R-1) = e first.  Both results are shared, so both are read-only.
+    ``counts[j]`` is H(j) = sum(W_{j+1} - W_j) / e.  The rows end at W_R,
+    where H(R-1) = e first.  Only the full walk counts ``apery_orders[r]``,
+    #{j >= 1 : W_j[r] = W_0[r]}: its one reader, :func:`apery_table`, asks
+    for all of them, and a bounded walk keeps None, so it retains no O(e)
+    vector.  Both results are shared, so both are read-only.
     """
     counts, row = [], S.w
-    apery_orders = np.zeros(len(row), dtype=np.int64)
+    apery_orders = np.zeros(len(row), dtype=np.int64) if levels is None else None
     for nxt in islice(_rows(S), 1, None if levels is None else levels + 1):
         counts.append(int((nxt - row).sum()) // len(row))
-        apery_orders += nxt == S.w
+        if apery_orders is not None:
+            apery_orders += nxt == S.w
         row = nxt
-    apery_orders.flags.writeable = False
+    if apery_orders is not None:
+        apery_orders.flags.writeable = False
     return tuple(counts), apery_orders
 
 

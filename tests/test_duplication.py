@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import numsgps.core
 import numsgps.duplication
 import numsgps.hilbert
+import numsgps.ideals
 from numsgps import (
     BNotInS,
     EvenB,
@@ -38,10 +39,11 @@ from numsgps import (
 )
 
 from numsgps.construction import is_excluded_level
-from numsgps.core import _certify_generators
-from numsgps.duplication import _doubled_hilbert
+from numsgps.core import CertificationError, _certify_generators
+from numsgps.duplication import _canonical_duplication, _chain, _doubled_hilbert, _duplicate
+from numsgps.hilbert import _second_power
 
-from conftest import _exit_under_python_O, random_semigroup
+from conftest import _exit_under_python_O, brute_members, random_semigroup
 
 EXPECTED_53 = (64, 66, 76, 138, 144, 146, 148, 150, 154, 156, 158, 160, 162, 164,
                166, 168, 170, 172, 174, 176, 178, 180, 182, 184, 186, 188, 190,
@@ -497,3 +499,104 @@ def test_duplication_size_guards(monkeypatch):
     monkeypatch.setattr(numsgps.core, "APERY_LIMIT", 1 << 59)
     with pytest.raises(ValueError, match="exceeds the supported range 2\\*\\*40"):
         numerical_duplication(S, E, 2**40 + 1)
+
+
+def _brute_duplication(S, E_members, b, bound) -> set[int]:
+    """2S union (2E + b) below ``bound``, from a brute-force member list of S and of E."""
+    doubled = {2 * s for s in brute_members(S.min_gens, bound // 2 + 1)}
+    return {x for x in doubled | {2 * y + b for y in E_members} if 0 <= x < bound}
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_duplication_from_parent_data_matches_public_route_and_brute_force(rnd):
+    S = random_semigroup(rnd, max_mult=8)
+    e, f, c = S.multiplicity, S.frobenius, S.conductor
+    # past max(2c, 2 thr(E) + b) both sides hold every integer; thr(E) <= 2c for M and K + f + 1
+    members = brute_members(S.min_gens, 2 * c + 2)
+    M = maximal_ideal(S)
+    gens = np.array(S.min_gens, dtype=np.int64)
+    for b in [x for x in range(1, c + 2 * e) if x % 2 and S.contains(x)]:
+        bound = 4 * c + b + 2
+        T = _duplicate(S, M, gens, _second_power(S), b)
+        public = numerical_duplication(S, M, b)
+        assert (T.min_gens, T.w.tolist()) == (public.min_gens, public.w.tolist())
+        assert set(T.elements_up_to(bound)) == _brute_duplication(S, members - {0}, b, bound)
+        assert T.conductor <= bound
+    b = smallest_odd_element(S)
+    bound = 4 * c + b + 2
+    T = _canonical_duplication(S, b)
+    public = numerical_duplication(S, standard_canonical_ideal(S).shift(f + 1), b)
+    assert (T.min_gens, T.w.tolist()) == (public.min_gens, public.w.tolist())
+    # K + f + 1 = {y >= f + 1 : 2f + 1 - y not in S}
+    canonical = {y for y in range(f + 1, bound) if 2 * f + 1 - y not in members}
+    assert set(T.elements_up_to(bound)) == _brute_duplication(S, canonical, b, bound)
+    assert T.conductor <= bound
+
+
+def _brute_minimal_system(G, w) -> bool:
+    """Whether G is the minimal generating system of the set X with Apery vector w, by BFS."""
+    m = len(w)
+    if w.min() < 0:  # X holds a negative integer, <G> does not
+        return False
+    # with w[0] = 0, m is in X; agreement below max(w) + 1 covers m consecutive members of
+    # both sets, so it decides X = <G>
+    bound = max(int(w.max()), max(G)) + m + 1
+    if brute_members(G, bound) != {x for x in range(bound) if x >= w[x % m]}:
+        return False
+    return all(g not in brute_members([h for h in G if h != g], g + 1) for g in G)
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(["none", "drop", "add", "move"]),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_generator_certificate_raises_exactly_when_brute_force_rejects(rnd, kind, duplicate):
+    S = random_semigroup(rnd, max_mult=8)
+    if duplicate:
+        S = numerical_duplication(S, maximal_ideal(S), smallest_odd_element(S))
+    G, w = list(S.min_gens), S.w.copy()
+    m = len(w)
+    if kind == "drop":
+        G.pop(rnd.randrange(len(G)))
+    elif kind == "add":
+        G = sorted(G + [rnd.choice(G) + rnd.choice(G)])
+    elif kind == "move" and m > 1:
+        w[rnd.randrange(1, m)] += rnd.choice([-m, m])
+    if _brute_minimal_system(G, w):
+        _certify_generators(tuple(G), w, "perturbed")
+    else:
+        with pytest.raises(CertificationError, match="^perturbed: "):
+            _certify_generators(tuple(G), w, "perturbed")
+
+
+def _count_min_plus_steps(monkeypatch) -> list[int]:
+    """Wrap ``core._min_plus_steps`` by name in every module that could call it; one entry a call."""
+    calls = []
+    steps = numsgps.core._min_plus_steps
+
+    def counted(v, shifts, n):
+        calls.append(len(v))
+        return steps(v, shifts, n)
+
+    for module in (numsgps.core, numsgps.duplication, numsgps.ideals):
+        monkeypatch.setattr(module, "_min_plus_steps", counted, raising=False)
+    return calls
+
+
+def test_closed_form_builds_gather_only_their_certificate(monkeypatch):
+    S = construct_asd(4).semigroup
+    T = numerical_duplication(S, maximal_ideal(S), smallest_odd_element(S))
+    semigroup_type(T)  # the witness has filled the PF cache of its last chain step
+    calls = _count_min_plus_steps(monkeypatch)
+    _certify_generators(T.min_gens, T.w, "duplication")
+    assert calls == [T.multiplicity]
+    # a maximal-ideal chain step reads M's generators and Ap(M + M) off S: only the certificate
+    calls.clear()
+    assert _chain(S, 1)[0][1] == T
+    assert calls == [T.multiplicity]
+    # the canonical duplication gathers E + E, then the certificate at twice the multiplicity
+    calls.clear()
+    b = smallest_odd_element(T)
+    final = _canonical_duplication(T, b)
+    assert calls == [T.multiplicity, final.multiplicity]
+    assert final == numerical_duplication(T, standard_canonical_ideal(T).shift(T.frobenius + 1), b)

@@ -715,6 +715,27 @@ def test_cached_walks_retain_no_row_buffers():
     _walk.cache_clear()
 
 
+def test_bounded_walks_keep_no_apery_orders():
+    # only apery_table reads the orders, and it asks the full walk; a bounded walk
+    # keeps its counts alone, not an O(e) vector per cache entry
+    candidates = range(10007, 11000, 2)
+    primes = [n for n in candidates if all(n % d for d in range(3, math.isqrt(n) + 1, 2))][:65]
+    semigroups = [NumericalSemigroup.from_generators(pq) for pq in zip(primes, primes[1:])]
+    _walk.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for S in semigroups:
+            hilbert_function(S, 3)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _walk.cache_info().currsize == 64
+    assert _walk(semigroups[0], 4)[1] is None
+    assert retained < 1 << 19
+    _walk.cache_clear()
+
+
 def test_oracle_stops_at_stable_from(monkeypatch):
     oracle_levels = []
     oracle = numsgps.hilbert.hilbert_by_set_construction

@@ -151,7 +151,8 @@ def _shared_hilbert_steps(tree: ast.Module) -> list[str]:
     oracle = _names_read(tree, "hilbert_by_set_construction")
     rows = _names_read(tree, "_rows")
     return sorted([f"hilbert_by_set_construction: {name}"
-                   for name in oracle & {"_rows", "_walk", "_from_rows", "_narrow"}]
+                   for name in oracle & {"_rows", "_walk", "_from_rows", "_narrow",
+                                         "_second_power"}]
                   + [f"_rows: {name}" for name in rows if name.startswith("_min_plus")])
 
 
@@ -168,6 +169,11 @@ def test_hilbert_route_scan_catches_a_leftover():
                      "def _rows(S):\n    yield core._min_plus_steps(S.w, S.min_gens, 1)\n")
     assert _shared_hilbert_steps(tree) == ["_rows: _min_plus_steps",
                                            "hilbert_by_set_construction: _walk"]
+    # the oracle may not start from W_2 read off the generators either
+    tree = ast.parse("def hilbert_by_set_construction(S, h_max):\n"
+                     "    rows = [S.w, hilbert._second_power(S)]\n"
+                     "def _rows(S):\n    yield _second_power(S)\n")
+    assert _shared_hilbert_steps(tree) == ["hilbert_by_set_construction: _second_power"]
 
 
 def _dtype_name(node: ast.AST):
