@@ -27,7 +27,9 @@ from typing import Any
 
 import numpy as np
 
-from .core import NumericalSemigroup, SemigroupError, _certify, _certify_generators, _check_size
+from .core import (
+    LISTING_LIMIT, NumericalSemigroup, SemigroupError, _certify, _certify_generators, _check_size,
+)
 from .hilbert import apery_table, decrease_levels, hilbert_through_stabilization
 from .ideals import is_almost_symmetric, nari_partition, pseudo_frobenius, semigroup_type
 
@@ -129,8 +131,11 @@ def construct_asd(ell: int) -> ConstructionData:
 
     e, n1, n2 = _base_parameters(ell)
     # ell * n1 = F + e is the largest Apery element, so it bounds every generator;
-    # checked before the families, which hold about ell^2 entries
+    # checked before the families, which hold (ell^2 + 3 ell) / 2 and (ell^2 + ell) / 2 entries
     _check_size(e, ell * n1)
+    if ell * ell + 2 * ell > LISTING_LIMIT:
+        raise ValueError(f"level {ell}: the s and r families of {ell * ell + 2 * ell} entries"
+                         " exceed the supported size 2**22")
     t1 = (ell + 1) * n1 - (ell - 1) * e
     t2 = ell * n1 + e - t1
 

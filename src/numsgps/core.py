@@ -16,17 +16,19 @@ lists a set class by class, and :func:`_min_plus_steps` applies a min-plus
 gather over all e classes step after step; semigroup and ideal arithmetic
 and pseudo-Frobenius numbers take one step (:func:`_min_plus`), the Hilbert
 oracle one per level.  The Hilbert rows of :mod:`numsgps.hilbert` do not:
-``_rows`` reads Ap(2M) off the minimal generators and from there gathers
-only over the frontier of classes that stayed put at the last level.  A
-semigroup given in closed form, its Apery vector and generators read off a
-formula rather than found by the round robin, is checked by one gather in
-:func:`_certify_generators`.
+``_levels`` reads Ap(2M) off the minimal generators and from there gathers
+only over the frontier of classes that stayed put at the last level, times
+the generators that kept some class there.  A semigroup given in closed
+form, its Apery vector and generators read off a formula rather than found
+by the round robin, is checked by one gather in :func:`_certify_generators`.
 
 Storage stays int64.  The two vector kernels, the min-plus steps and the
 rows, compute in the narrowest of int16, int32 and int64 that an a-priori
 bound on their values fits (:func:`_narrow`, the one place that names the
-narrow dtypes), and return int64 either way.  Index arithmetic stays in
-int64: a class index can reach e, and e may exceed what the values need.
+narrow dtypes).  The min-plus steps return int64; the rows stay inside the
+Hilbert walk, which hands out Python ints and int64 orders.  Index
+arithmetic stays in int64: a class index can reach e, and e may exceed what
+the values need.
 """
 
 from __future__ import annotations
@@ -105,7 +107,10 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
     and the sums of step j in [min(v) + j s_lo, max(v) + (j - 1) s_lo + s_hi],
     so one dtype fits every step (see :func:`_narrow`).  The windows are built
     once and each step is written back into them; each is yielded as a fresh
-    int64 vector, so memory stays O(e) for any number of steps.
+    int64 vector, so memory stays O(e) for any number of steps.  A block
+    gathers _GATHER_CELLS // e windows and reduces them; once e passes
+    _GATHER_CELLS a block is one window, which is shifted into a spare row
+    with no gathered copy and no reduction.
     """
     e = len(v)
     shifts = np.asarray(shifts, dtype=np.int64)
@@ -121,12 +126,17 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
     twice = np.concatenate([v, v])
     windows = np.ndarray((e + 1, e), dt, buffer=twice, strides=2 * twice.strides)
     per_block = max(1, _GATHER_CELLS // e)
+    spare = np.empty(e, dtype=dt)
     for _ in range(steps):
         out = np.full(e, np.iinfo(dt).max, dtype=dt)
         for lo in range(0, len(shifts), per_block):
-            block = windows[starts[lo : lo + per_block]]
-            block += shifts[lo : lo + per_block, None]  # in place: one temporary per block, not two
-            np.minimum(out, block.min(axis=0), out=out)
+            if per_block > 1:
+                block = windows[starts[lo : lo + per_block]]
+                block += shifts[lo : lo + per_block, None]  # in place: one temporary, not two
+                least = block.min(axis=0)
+            else:  # e > _GATHER_CELLS: one window, shifted into a spare row with no copy
+                least = np.add(windows[starts[lo]], shifts[lo], out=spare)
+            np.minimum(out, least, out=out)
         yield out.astype(np.int64, copy=False)
         twice[:e] = twice[e:] = out
 

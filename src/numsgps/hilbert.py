@@ -5,11 +5,15 @@ ideal S \\ {0}.  Everything is read off the Apery vectors W_k = Ap(kM) with
 respect to the multiplicity e: W_k[r] is the smallest member of kM in the
 class r mod e, so kM is described exactly by e integers per level.  Between
 levels each entry either stays or rises by e, and only the classes that
-stayed put at the last level can keep another class in place, so each row
-costs O(e) plus one gather over that frontier times the generators.  W_2
-needs none: a nonzero Apery element lies in 2M exactly when it is not a
-minimal generator.  The rows give H(k) = sum(W_{k+1} - W_k) / e, the orders
-ord(s) = #{k >= 1 : s >= W_k[s mod e]} and the Apery strata.
+stayed put at the last level, the frontier, can keep another class in
+place.  A generator that keeps no class at one level keeps none at any
+later level, so each row costs O(e) plus one gather over the frontier times
+the generators still active.  W_2 needs none: a nonzero Apery element lies
+in 2M exactly when it is not a minimal generator.  The walk keeps the
+offset row W_k - k e in place, which changes only on the classes that stay.
+The rows give H(k) = sum(W_{k+1} - W_k) / e, which is e minus the size of
+the next frontier, the orders ord(s) = #{k >= 1 : s >= W_k[s mod e]} and
+the Apery strata.
 
 Stabilization is certified, not guessed: the rows stop at the reduction
 index R, the first k >= 1 with W_k = W_{k-1} + e, i.e. kM = (k-1)M + e.
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 import numpy as np
@@ -68,92 +72,120 @@ def _second_power(S: NumericalSemigroup) -> np.ndarray:
     """
     e = S.multiplicity
     row = S.w.copy()
-    row[0] = e
-    row[np.r_[0, np.array(S.min_gens[1:], dtype=np.int64) % e]] += e
+    row[0] = 2 * e
+    row[np.array(S.min_gens[1:], dtype=np.int64) % e] += e
     return row
 
 
-def _rows(S: NumericalSemigroup) -> Iterator[np.ndarray]:
-    """Yield the rows W_0, ..., W_R with W_k = Ap(kM) with respect to e, 0M = S.
+def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (D_k, Z_k) for k = 0, ..., R: the offset row D_k = W_k - k e and the frontier mask.
 
-    (k+1)M lies in kM and contains kM + e, and both entries share a class,
-    so W_{k+1}[r] is W_k[r] or W_k[r] + e.  It is W_k[r] exactly when some
-    class s and minimal generator g with s + g = r (mod e) have
-    W_k[s] + g = W_k[r], since (k+1)M = kM + G and kM + g lies in kM.  If
-    W_k[s] = W_{k-1}[s] + e, then W_k[s] + g >= W_k[r] + e, as (k-1)M + g
-    lies in kM; so only the frontier Z_k = {s : W_k[s] = W_{k-1}[s]} can
-    keep a class, and g = e never does.  W_1 = Ap(M) is W_0 with W_1[0] = e,
-    so Z_1 = {r != 0}.  W_2 = Ap(2M) needs no gather (:func:`_second_power`):
-    it is W_1 plus e on class 0 and the classes g mod e of the minimal
-    generators, and Z_2 is every other nonzero class.  Each level k >= 2
-    thus costs O(e) plus |Z_k| (nu - 1) gathered cells, and a
-    semigroup with nu = e gathers none.  R is the reduction index, the first
-    k >= 1 with Z_k empty, that is W_k = W_{k-1} + e (kM = (k-1)M + e); from
-    there on every row is the previous one plus e.  Rows are produced one at
-    a time, so memory stays O(e) for any R.
+    W_k = Ap(kM) with respect to e, 0M = S.  (k+1)M lies in kM and contains
+    kM + e, and both entries share a class, so W_{k+1}[r] is W_k[r] or
+    W_k[r] + e.  It is W_k[r] exactly when some class s and minimal
+    generator g with s + g = r (mod e) have W_k[s] + g = W_k[r], since
+    (k+1)M = kM + G and kM + g lies in kM.  If W_k[s] = W_{k-1}[s] + e, then
+    W_k[s] + g >= W_k[r] + e, as (k-1)M + g lies in kM; so only the frontier
+    Z_k = {s : W_k[s] = W_{k-1}[s]} can keep a class, and g = e never does.
+    W_1 = Ap(M) is W_0 with W_1[0] = e, so Z_1 = {r != 0}.  W_2 = Ap(2M)
+    needs no gather (:func:`_second_power`), so Z_2 is read off it.  R is
+    the reduction index, the first k >= 1 with Z_k empty, that is
+    W_k = W_{k-1} + e (kM = (k-1)M + e); from there on every row is the
+    previous one plus e.  Z_0 is every class, vacuously.
 
-    The walk runs in int16 or int32 when :func:`core._narrow` allows it.
-    W_0[r] + ke lies in kM, so W_k <= W_0 + ke, and the walk stops at R <= e,
-    since the reduction number R - 1 is at most e - 1.  So every row lies in
-    [0, max(W_0) + e^2] and a row entry minus a generator in
-    [-max(G), max(W_0) + e^2]; the bound max(W_0) + e^2 + max(G) covers the
-    generators as well.  Class indices stay int64, and each row is yielded
-    as int64.
+    Call g active at level k if W_k[s] + g = W_k[(s + g) mod e] for some s,
+    which then lies in Z_k.  A generator that is not active at level k is
+    not active at any later level: A_{k+1} lies in A_k.  Let
+    W_{k+1}[s'] + g = W_{k+1}[r'] = x and, as (k+1)M = kM + G, write
+    W_{k+1}[s'] = z + h with z in kM and h in G.  If W_k[z mod e] <= z - e,
+    then W_k[z mod e] + h + g lies in (k+2)M, in the class of x and below
+    x, against the minimality of x in (k+1)M; so W_k[z mod e] = z.
+    u = z + g lies in (k+1)M; if W_k[u mod e] <= u - e, then
+    W_k[u mod e] + h lies in (k+1)M below x in its class; so
+    W_k[u mod e] = u.  Hence W_k[z mod e] + g = W_k[u mod e], and g lies in
+    A_k.  So level 2 gathers over G \\ {e}, and every later level only over
+    the generators that kept some class at the level before.  Level k >= 2
+    costs O(e) plus |Z_k| |A_{k-1}| gathered cells, with G \\ {e} in place of
+    A_1, and a semigroup with nu = e gathers none.
+
+    The walk keeps D_k = W_k - k e in one buffer [D, D], so that
+    twice[s + (g mod e)] = D[(s + g) mod e], and tests
+    D[(s + g) mod e] - g = D[s].  Each level changes only the kept classes:
+    D_{k+1} is D_k minus e on Z_{k+1}, applied in place once the level's
+    blocks are all read, and then copied into the second half.  W_k >= k e
+    and W_k <= W_0 + k e, as W_0[r] + k e lies in kM, so D_k lies in
+    [0, max(W_0)] and a row entry minus a generator in
+    [-max(G), max(W_0)]; the minimal generators other than e are Apery
+    elements, so max(W_0) covers the generators too.  The walk runs in the
+    dtype :func:`core._narrow` picks for that range; class indices stay
+    int64.  Both yielded arrays are the walk's own buffers, overwritten at
+    the next level, so memory stays O(e) for any R.
     """
     e, top = S.multiplicity, S.min_gens[-1]
-    dt = _narrow(-top, int(S.w.max()) + e * e + top)
+    dt = _narrow(-top, int(S.w.max()))
     gens = np.array(S.min_gens[1:], dtype=np.int64)
     steps, shifts = gens % e, gens.astype(dt)
-    block = max(1, _GATHER_CELLS // max(1, len(shifts)))
-    # one set of block buffers for the whole walk: fresh block-sized
-    # temporaries go back to the OS and fault in again on every block
-    target = np.empty((block, len(shifts)), dtype=np.int64)
-    reached = np.empty(target.shape, dtype=dt)
-    stays = np.empty(target.shape, dtype=bool)
-    yield S.w
-    row = S.w.astype(dt)
-    row[0] = e
-    yield row.astype(np.int64, copy=False)
-    if e > 1:  # W_2 with no gather: the generators' classes and class 0 rise, the rest stay
-        second = _second_power(S)
-        yield second
-        row = second.astype(dt)
-    frontier = np.flatnonzero(row == S.w)  # Z_2, or Z_1 = {} when e = 1
-    while len(frontier):
-        nxt = row + e
-        twice = np.concatenate([row, row])  # twice[s + (g mod e)] = row[(s + g) mod e]
-        for lo in range(0, len(frontier), block):
-            s = frontier[lo : lo + block, None]
-            r = np.add(s, steps, out=target[: len(s)])
+    # one set of flat block buffers for the whole walk, viewed as (rows, |A|) at each level:
+    # fresh block-sized temporaries go back to the OS and fault in again on every block.
+    # A block holds at most min(e, _GATHER_CELLS // |A|) rows, and |A| <= nu - 1.
+    cells = min(e * len(gens), max(_GATHER_CELLS, len(gens)))
+    target = np.empty(cells, dtype=np.int64)
+    reached = np.empty(cells, dtype=dt)
+    stays = np.empty(cells, dtype=bool)
+    twice = np.concatenate([S.w, S.w], dtype=dt)
+    D, drop = twice[:e], np.empty(e, dtype=dt)
+    yield D, np.ones(e, dtype=bool)
+    inZ = np.arange(e) != 0
+    for level in count(1):
+        D -= np.multiply(inZ, e, out=drop)  # a where= mask would loop once per run of kept classes
+        twice[e:] = D
+        yield D, inZ
+        frontier = inZ.nonzero()[0]
+        if not len(frontier):
+            return
+        if level == 1:
+            inZ = _second_power(S) == S.w  # W_2 = W_1 off class 0, where W_2[0] = 2e
+            continue
+        inZ.fill(False)
+        active = np.zeros(len(shifts), dtype=bool)
+        rows = min(len(frontier), max(1, _GATHER_CELLS // len(shifts)))
+        size = rows * len(shifts)
+        index, sums, hits = (buf[:size].reshape(rows, -1) for buf in (target, reached, stays))
+        for lo in range(0, len(frontier), rows):
+            s = frontier[lo : lo + rows, None]
+            r = np.add(s, steps, out=index[: len(s)])
             # r < 2e, so clipping never moves an index; it spares take() a buffer
-            gap = np.take(twice, r, out=reached[: len(s)], mode="clip")
+            gap = np.take(twice, r, out=sums[: len(s)], mode="clip")
             gap -= shifts
-            kept = r[np.equal(gap, row[s], out=stays[: len(s)])]
-            kept[kept >= e] -= e
-            # a class may be kept from several blocks: assign, never subtract e
-            nxt[kept] = row[kept]
-        yield nxt.astype(np.int64, copy=False)
-        frontier = np.flatnonzero(nxt == row)
-        row = nxt
+            hit = np.equal(gap, D[s], out=hits[: len(s)])
+            kept = r[hit]
+            kept -= e  # in [-e, e): a negative index counts from the end, so it names r mod e
+            inZ[kept] = True  # a class may be kept from several blocks
+            active |= hit.any(axis=0)
+        if not active.all():
+            steps, shifts = steps[active], shifts[active]
 
 
 @lru_cache(maxsize=64)  # shared by every call on the same semigroup and level count
 def _walk(S: NumericalSemigroup, levels: int | None) -> tuple[tuple[int, ...], np.ndarray | None]:
-    """H(0..levels-1) off the rows W_1..W_levels, or through W_R with the Apery orders if None.
+    """H(0..levels-1) off the frontiers Z_1..Z_levels, or through Z_R with the Apery orders if None.
 
-    ``counts[j]`` is H(j) = sum(W_{j+1} - W_j) / e.  The rows end at W_R,
-    where H(R-1) = e first.  Only the full walk counts ``apery_orders[r]``,
-    #{j >= 1 : W_j[r] = W_0[r]}: its one reader, :func:`apery_table`, asks
-    for all of them, and a bounded walk keeps None, so it retains no O(e)
-    vector.  Both results are shared, so both are read-only.
+    ``counts[j]`` is H(j) = sum(W_{j+1} - W_j) / e, the number of classes
+    that rise at level j + 1, so e - |Z_{j+1}|.  The walk ends at W_R, where
+    H(R-1) = e first.  Only the full walk counts ``apery_orders[r]``,
+    #{j >= 1 : W_j[r] = W_0[r]}, the levels j through which r lies in every
+    frontier Z_1..Z_j: its one reader, :func:`apery_table`, asks for all of
+    them, and a bounded walk keeps None, so it retains no O(e) vector.  Both
+    results are shared, so both are read-only.
     """
-    counts, row = [], S.w
-    apery_orders = np.zeros(len(row), dtype=np.int64) if levels is None else None
-    for nxt in islice(_rows(S), 1, None if levels is None else levels + 1):
-        counts.append(int((nxt - row).sum()) // len(row))
+    e, counts, apery_orders = S.multiplicity, [], None
+    if levels is None:
+        pristine, apery_orders = np.ones(e, dtype=bool), np.zeros(e, dtype=np.int64)
+    for _, inZ in islice(_levels(S), 1, None if levels is None else levels + 1):
+        counts.append(e - int(np.count_nonzero(inZ)))
         if apery_orders is not None:
-            apery_orders += nxt == S.w
-        row = nxt
+            pristine &= inZ
+            apery_orders += pristine
     if apery_orders is not None:
         apery_orders.flags.writeable = False
     return tuple(counts), apery_orders
@@ -162,17 +194,20 @@ def _walk(S: NumericalSemigroup, levels: int | None) -> tuple[tuple[int, ...], n
 def _orders(S: NumericalSemigroup, s: np.ndarray) -> np.ndarray:
     """ord(s) = #{k >= 1 : s >= W_k[s mod e]} elementwise; -1 off S.
 
-    W_k >= k e, so the walk stops at level max(s) // e, or at W_R if that
-    comes first: rows past W_R grow by e per level, so the levels k > R add
-    max(0, (s - W_R[s mod e]) // e), which is 0 when the walk stopped first.
+    On the offset rows the test reads s - k e >= D_k[s mod e].  W_k >= k e,
+    so the walk stops at level max(s) // e, or at W_R if that comes first:
+    past W_R the offset row stays D_R, so the levels k > R add
+    max(0, (s - R e - D_R[s mod e]) // e), which is 0 when the walk stopped
+    first.
     """
     e = S.multiplicity
     r = s % e
     orders = np.where(s >= S.w[r], 0, -1)
-    row = S.w
-    for row in islice(_rows(S), 1, int(s.max(initial=0)) // e + 1):
-        orders += s >= row[r]
-    return orders + np.maximum((s - row[r]) // e, 0)
+    t, D = s.copy(), S.w  # t = s - k e at level k
+    for D, _ in islice(_levels(S), 1, int(s.max(initial=0)) // e + 1):
+        t -= e
+        orders += t >= D[r]
+    return orders + np.maximum((t - D[r]) // e, 0)
 
 
 def order_table(S: NumericalSemigroup, bound: int) -> np.ndarray:

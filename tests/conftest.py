@@ -5,7 +5,9 @@ is a breadth-first closure over plain sets, Hilbert values come from literal
 sumsets of Python sets, and orders from a dictionary DP, so that agreement
 with the library is a genuine two-route check.  ``dense_apery_rows`` is the
 exception: it keeps the dense min-plus recurrence for the Apery rows as the
-reference that the frontier walk in ``numsgps.hilbert`` is compared against.
+reference that the frontier walk in ``numsgps.hilbert`` is compared against,
+and ``brute_active_generators`` reads the generators that keep a class off
+those rows.
 """
 
 from __future__ import annotations
@@ -115,6 +117,18 @@ def dense_apery_rows(S: NumericalSemigroup) -> list[np.ndarray]:
         rows.append(_min_plus(rows[-1], S.min_gens))
         if np.array_equal(rows[-1], rows[-2] + e):
             return rows
+
+
+def walk_rows(S: NumericalSemigroup) -> list[np.ndarray]:
+    """W_0, ..., W_R rebuilt off the walk's offset rows, W_k = D_k + k e, as int64."""
+    e = S.multiplicity
+    return [D.astype(np.int64) + k * e for k, (D, _) in enumerate(numsgps.hilbert._levels(S))]
+
+
+def brute_active_generators(S: NumericalSemigroup, rows: list[np.ndarray]) -> list[set[int]]:
+    """A_k = {g in G : W_k[s] + g = W_k[(s + g) mod e] for some class s}, one set per row W_k."""
+    e = S.multiplicity
+    return [{g for g in S.min_gens if (W + g == np.roll(W, -(g % e))).any()} for W in rows]
 
 
 def count_gathers(monkeypatch) -> list[int]:

@@ -190,6 +190,14 @@ def test_witness_past_size_limit_fails_fast():
     assert "Traceback" not in proc.stderr
 
 
+def test_construction_families_past_listing_limit_fail_fast():
+    # e = 12714112 passes every size bound, but the families hold ell^2 + 2 ell entries
+    proc = run_capped_cli(["construct", "--ell", "3564"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: level 3564: the s and r families of 12709224 entries"
+                           " exceed the supported size 2**22\n")
+
+
 @pytest.mark.parametrize("argv", [["construct", "--ell", "99999999999"],
                                   ["witness", "--level", "99999999999", "--drop", "1"]])
 def test_construction_past_size_limit_fails_before_its_families(argv):

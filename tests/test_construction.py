@@ -40,6 +40,16 @@ def test_level_5_parameters_and_generators():
     assert d.gamma == EXPECTED_L5
 
 
+def test_families_past_listing_limit_rejected_before_they_are_built(monkeypatch):
+    # ell^2 + 2 ell entries in all: 2047 gives 2**22 - 1, 2048 gives 4198400
+    with pytest.raises(ValueError, match="families of 4198400 entries exceed the supported size"):
+        construct_asd(2048)
+    monkeypatch.setattr(numsgps.construction, "LISTING_LIMIT", 24)
+    assert len(construct_asd(4).s_family) + len(construct_asd(4).r_family) == 24
+    with pytest.raises(ValueError, match="level 5: the s and r families of 35 entries"):
+        construct_asd(5)
+
+
 def test_family_sizes_and_relation():
     for ell in (4, 5, 8, 11):
         d = construct_asd(ell)

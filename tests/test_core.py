@@ -255,6 +255,22 @@ def test_min_plus_exact_across_the_int32_limits(v, shifts, edge, split, steps):
     assert _min_plus(np.array(v, dtype=np.int64), shifts).tolist() == want[1]
 
 
+@pytest.mark.parametrize("cells", [1, 40, 1 << 16])
+def test_min_plus_steps_with_one_shift_per_block_match_brute_force(rng, monkeypatch, cells):
+    # a block takes cells // e windows, at least one: cells 1 leaves one shift per block,
+    # as e > 2**16 does, cells 40 one or several by e, and 2**16 every shift in one block
+    monkeypatch.setattr(numsgps.core, "_GATHER_CELLS", cells)
+    for _ in range(40):
+        e = rng.randint(1, 30)
+        v = [rng.randint(-50, 50) for _ in range(e)]
+        shifts = rng.sample(range(-20, 80), rng.randint(1, 9))
+        want = [v]
+        for _ in range(3):
+            want.append([min(want[-1][(r - s) % e] + s for s in shifts) for r in range(e)])
+        got = [row.tolist() for row in _min_plus_steps(np.array(v, dtype=np.int64), shifts, 3)]
+        assert got == want[1:]
+
+
 def test_min_plus_indices_stay_int64_when_e_passes_the_int16_range(monkeypatch):
     # the values fit int16, but e does not: the window starts e - (s mod e) must come
     # from int64 shifts, and the int16 sums must not wrap

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -33,11 +34,12 @@ from numsgps import (
     standard_canonical_ideal,
 )
 from numsgps.core import _min_plus
-from numsgps.hilbert import _from_rows, _rows, _walk
+from numsgps.hilbert import _from_rows, _levels, _walk
 
 from conftest import (
     _exit_under_python_O,
     brute_hilbert,
+    brute_active_generators,
     brute_layer_sets,
     brute_members,
     brute_orders,
@@ -47,6 +49,7 @@ from conftest import (
     record_narrow,
     run_capped,
     run_capped_cli,
+    walk_rows,
 )
 
 
@@ -307,13 +310,15 @@ def test_set_construction_oracle_memory_below_conductor_tables():
 
 
 def _assert_rows_match_dense(S):
+    # W_k = D_k + k e, and Z_k = {s : W_k[s] = W_{k-1}[s]} with Z_0 every class
     e = S.multiplicity
-    rows = list(_rows(S))
+    levels = [(D.astype(np.int64) + k * e, inZ.copy()) for k, (D, inZ) in enumerate(_levels(S))]
     want = dense_apery_rows(S)
-    assert len(rows) == len(want)
-    for got, ref in zip(rows, want):
-        assert np.array_equal(got, ref)
-    for lo, hi in zip(rows, rows[1:]):
+    assert len(levels) == len(want)
+    for k, (got, inZ) in enumerate(levels):
+        assert np.array_equal(got, want[k])
+        assert np.array_equal(inZ, want[k] == want[k - 1] if k else np.ones(e, dtype=bool))
+    for (lo, _), (hi, _) in zip(levels, levels[1:]):
         assert (lo <= hi).all() and (hi <= lo + e).all()
 
 
@@ -364,21 +369,75 @@ def test_first_hilbert_value_is_the_embedding_dimension(gens):
 def test_rows_of_full_embedding_dimension_gather_nothing(monkeypatch):
     # nu = e: every nonzero Apery element is a generator, so W_2 = W_1 + e and R = 2
     cells = count_gathers(monkeypatch)
-    rows = list(_rows(NumericalSemigroup.from_generators([5, 6, 7, 8, 9])))
+    rows = walk_rows(NumericalSemigroup.from_generators([5, 6, 7, 8, 9]))
     assert len(rows) == 3 and np.array_equal(rows[2], rows[1] + 5)
     assert cells == [0]
 
 
+def _walk_cells(S: NumericalSemigroup, rows: list[np.ndarray]) -> tuple[int, int]:
+    """The cells the walk gathers, sum over k >= 2 of |Z_k| |A_{k-1}|, and the same with nu - 1.
+
+    Z_k = {s : W_k[s] = W_{k-1}[s]}.  A_{k-1} is read off the dense rows; level 2
+    starts from G \\ {e}, as W_2 is read off the generators with no gather.
+    """
+    active = [set(S.min_gens[1:])] + brute_active_generators(S, rows)[2:]
+    frontiers = [np.count_nonzero(hi == lo) for lo, hi in zip(rows[1:], rows[2:])]
+    return (sum(z * len(A) for z, A in zip(frontiers, active)),
+            sum(frontiers) * (S.embedding_dimension - 1))
+
+
 def test_rows_gather_from_the_second_frontier_on(monkeypatch):
-    # Z_k = {s : W_k[s] = W_{k-1}[s]} for k = 2..R; each of its classes gathers nu - 1 cells
+    # level k >= 2 gathers |Z_k| |A_{k-1}| cells, over the generators active at level k - 1
     cells = count_gathers(monkeypatch)
     for S, want in ((NumericalSemigroup.from_generators([4, 5, 6]), 2),  # Z_2 = {3}, Z_3 = {}
-                    (construct_asd(4).semigroup, None)):
+                    (construct_asd(4).semigroup, 184)):  # 832 over all of G \ {e}
+        rows = dense_apery_rows(S)
         cells[0] = 0
-        rows = list(_rows(S))
-        frontiers = sum(np.count_nonzero(hi == lo) for lo, hi in zip(rows[1:], rows[2:]))
-        assert cells == [frontiers * (S.embedding_dimension - 1)]
-        assert want is None or cells == [want]
+        list(_levels(S))
+        assert cells == [_walk_cells(S, rows)[0]] == [want]
+
+
+def test_witness_rows_gather_under_half_the_frontier_cells(monkeypatch):
+    # without the active set every frontier class would gather nu - 1 cells
+    final = gorenstein_witness(4, 3).final
+    rows = dense_apery_rows(final)
+    cells = count_gathers(monkeypatch)
+    list(_levels(final))
+    exact, frontier_cells = _walk_cells(final, rows)
+    assert cells == [exact]
+    assert 2 * exact < frontier_cells
+
+
+@lru_cache(maxsize=None)
+def _witness_semigroups(level: int, drop: int) -> tuple[NumericalSemigroup, ...]:
+    report = gorenstein_witness(level, drop)
+    return tuple(step.semigroup for step in report.chain) + (report.final,)
+
+
+@given(st.one_of(
+    st.builds(lambda seed, mult: random_semigroup(random.Random(seed), max_mult=mult),
+              st.integers(min_value=0, max_value=2**32), st.sampled_from([5, 9, 20, 40])),
+    st.sampled_from([(2, 1), (3, 2), (4, 3), (6, 1)]).flatmap(
+        lambda item: st.sampled_from(_witness_semigroups(*item)))),
+       st.sampled_from([3, 7, 1 << 16]))
+@example(NumericalSemigroup.from_generators([1]), 1 << 16)
+@example(NumericalSemigroup.from_generators([5, 6, 7, 8, 9]), 3)
+@settings(max_examples=60, deadline=None)
+def test_active_generators_nest_and_set_the_gathered_cells(S, block_cells):
+    # g not active at level k (no class s with W_k[s] + g = W_k[(s + g) mod e]) is not
+    # active later, e never is, and the walk gathers over exactly the active ones, also
+    # when a few cells per block spread a level, and its active set, over many blocks
+    rows = dense_apery_rows(S)
+    active = brute_active_generators(S, rows)
+    assert all(later <= earlier for earlier, later in zip(active, active[1:]))
+    assert all(S.multiplicity not in A for A in active)
+    assert not active[-1]  # Z_{R+1} would be empty: nothing keeps a class at level R
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numsgps.hilbert, "_GATHER_CELLS", block_cells)
+        cells = count_gathers(patch)
+        got = walk_rows(S)
+    assert cells == [_walk_cells(S, rows)[0]]
+    assert [row.tolist() for row in got] == [row.tolist() for row in rows]
 
 
 def _redundant_generator_semigroup() -> NumericalSemigroup:
@@ -411,10 +470,15 @@ def test_apery_rows_across_gather_blocks(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("b,dtype", [
-    (10919, np.int16),  # the rows' bound 2b + 3^2 + b = 32766 stays under 2**15 - 1
-    (10921, np.int32),  # 32772: just over
-    (715827878, np.int32),  # the rows' bound 2b + 3^2 + b = 2**31 - 5 stays under 2**31 - 1
-    (715827880, np.int64),  # 2**31 + 1: just over
+    # the walk's bound is max(W_0) = 2b: D_k lies in [0, 2b] and D_k - g in [-b, 2b]
+    (10919, np.int16),  # 2b = 21838
+    (10921, np.int16),  # 2b = 21842
+    (16382, np.int16),  # 2b = 32764 stays under 2**15 - 1
+    (16384, np.int32),  # 2b = 32768: just over
+    (715827878, np.int32),  # 2b = 1431655756
+    (715827880, np.int32),  # 2b = 1431655760
+    (1073741822, np.int32),  # 2b = 2**31 - 4 stays under 2**31 - 1
+    (1073741824, np.int64),  # 2b = 2**31: just over
     (1100000000, np.int64),  # W_0 holds 2b > 2**31: int32 would wrap
 ])
 def test_rows_of_two_generators_across_the_int32_limit(monkeypatch, b, dtype):
@@ -422,7 +486,12 @@ def test_rows_of_two_generators_across_the_int32_limit(monkeypatch, b, dtype):
     S = NumericalSemigroup.from_generators([3, b])
     _assert_rows_match_dense(S)
     assert chosen == [dtype]
-    assert all(row.dtype == np.int64 for row in _rows(S))
+    assert next(_levels(S))[0].dtype == dtype
+    # the offset rows stay inside the walk: its counts and orders leave as int and int64
+    counts, apery_orders = _walk(S, None)
+    assert all(type(h) is int for h in counts) and apery_orders.dtype == np.int64
+    assert order_table(S, 10).dtype == np.int64
+    _walk.cache_clear()
     # the oracle runs its dense rows near 2**31 too; H(k) = min(k + 1, 3)
     H = hilbert_through_stabilization(S, 4)
     assert H == HilbertFunction(values=(1, 2, 3, 3, 3), stable_from=2)
@@ -433,19 +502,24 @@ def test_int64_kernels_agree_with_narrowed(rng, monkeypatch):
     cases += [construct_asd(ell).semigroup for ell in range(4, 20) if not is_excluded_level(ell)]
     report = gorenstein_witness(4, 3)
     cases += [step.semigroup for step in report.chain] + [report.final]
+    # the walk narrows at max(W_0), which is 2b on <3, b>: both sides of the int16 margin
+    cases += [NumericalSemigroup.from_generators(g)
+              for g in ([3, 16382], [3, 16384], [7, 10009, 12011])]
 
     def kernels(S):
         _walk.cache_clear()
         pseudo_frobenius.cache_clear()
         K, M = standard_canonical_ideal(S), maximal_ideal(S)
-        return ([row.tolist() for row in _rows(S)], hilbert_through_stabilization(S),
+        return ([row.tolist() for row in walk_rows(S)], hilbert_through_stabilization(S),
                 _min_plus(S.w, S.min_gens).tolist(), _min_plus(-S.w, S.min_gens).tolist(),
                 ideal_sum(M, K).w.tolist(), K.minimal_generators(), pseudo_frobenius(S),
                 is_almost_symmetric(S))
 
-    chosen = record_narrow(monkeypatch, numsgps.core, numsgps.hilbert)
+    walk_chosen = record_narrow(monkeypatch, numsgps.hilbert)
+    chosen = record_narrow(monkeypatch, numsgps.core)
     narrowed = [kernels(S) for S in cases]
     assert {np.int16, np.int32} <= set(chosen)
+    assert {np.int16, np.int32} <= set(walk_chosen)
     for module in (numsgps.core, numsgps.hilbert):
         monkeypatch.setattr(module, "_narrow", lambda lo, hi: np.int64)
     assert [kernels(S) for S in cases] == narrowed
@@ -526,14 +600,14 @@ def test_large_hmax_pays_only_for_levels_through_stabilization():
 def test_order_table_reads_no_row_past_its_bound(monkeypatch):
     # W_k >= k e, so [0, 3000) needs W_0, W_1, W_2 of the 1010 rows of <1009, 1013>
     read = []
-    rows = numsgps.hilbert._rows
+    levels = numsgps.hilbert._levels
 
     def counted(S):
-        for row in rows(S):
+        for level in levels(S):
             read.append(1)
-            yield row
+            yield level
 
-    monkeypatch.setattr(numsgps.hilbert, "_rows", counted)
+    monkeypatch.setattr(numsgps.hilbert, "_levels", counted)
     S = NumericalSemigroup.from_generators([1009, 1013])
     got = order_table(S, 3000)
     assert len(read) == 3
@@ -612,16 +686,16 @@ def test_apery_walk_cached_and_oracle_per_call(monkeypatch):
 
 
 def _count_rows(monkeypatch) -> list[int]:
-    """Start every walk afresh and record each row that ``_rows`` yields."""
+    """Start every walk afresh and record each level (D_k, Z_k) that ``_levels`` yields."""
     read = []
-    rows = numsgps.hilbert._rows
+    levels = numsgps.hilbert._levels
 
     def counted(S):
-        for row in rows(S):
+        for level in levels(S):
             read.append(1)
-            yield row
+            yield level
 
-    monkeypatch.setattr(numsgps.hilbert, "_rows", counted)
+    monkeypatch.setattr(numsgps.hilbert, "_levels", counted)
     _walk.cache_clear()
     return read
 
@@ -655,24 +729,24 @@ def test_walk_reads_rows_per_level_count_once(monkeypatch):
 
 
 def test_interrupted_walk_is_walked_afresh(monkeypatch):
-    rows = numsgps.hilbert._rows
+    levels = numsgps.hilbert._levels
 
     def interrupted(S):
-        yield from islice(rows(S), 2)
+        yield from islice(levels(S), 2)
         raise KeyboardInterrupt
 
     S = NumericalSemigroup.from_generators([5, 7, 9, 11])
     _walk.cache_clear()
-    monkeypatch.setattr(numsgps.hilbert, "_rows", interrupted)
+    monkeypatch.setattr(numsgps.hilbert, "_levels", interrupted)
     with pytest.raises(KeyboardInterrupt):
         hilbert_through_stabilization(S)
-    monkeypatch.setattr(numsgps.hilbert, "_rows", rows)
+    monkeypatch.setattr(numsgps.hilbert, "_levels", levels)
     assert hilbert_through_stabilization(S).values == tuple(brute_hilbert(S.min_gens, 2))
 
 
 def test_interrupted_walk_keeps_other_cached_walks(monkeypatch):
     read = _count_rows(monkeypatch)
-    counted = numsgps.hilbert._rows
+    counted = numsgps.hilbert._levels
     S, T = (NumericalSemigroup.from_generators(g) for g in ([5, 7, 9, 11], [4, 6, 7]))
     hilbert_through_stabilization(T)
 
@@ -680,10 +754,10 @@ def test_interrupted_walk_keeps_other_cached_walks(monkeypatch):
         yield from islice(counted(U), 2)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(numsgps.hilbert, "_rows", interrupted)
+    monkeypatch.setattr(numsgps.hilbert, "_levels", interrupted)
     with pytest.raises(KeyboardInterrupt):
         hilbert_through_stabilization(S)
-    monkeypatch.setattr(numsgps.hilbert, "_rows", counted)
+    monkeypatch.setattr(numsgps.hilbert, "_levels", counted)
     before, hits = len(read), _walk.cache_info().hits
     apery_table(T)
     assert (len(read), _walk.cache_info().hits) == (before, hits + 1)

@@ -26,7 +26,7 @@ from numsgps import (
     standard_canonical_ideal,
 )
 from numsgps.cli import main
-from numsgps.hilbert import _rows
+from numsgps.hilbert import _walk
 from numsgps.ideals import RelativeIdeal
 
 from conftest import _exit_under_python_O, brute_members, random_semigroup
@@ -347,7 +347,9 @@ def test_vectors_leave_the_kernels_as_int64():
     ideals = [E, ideal_generated_by(S, E.minimal_generators()), K, semigroup_as_ideal(T)]
     assert [I.w.dtype for I in ideals] == [np.int64] * 4
     assert all(type(x) is int for x in E.minimal_generators())
-    assert all(row.dtype == np.int64 for U in (S, T) for row in _rows(U))
+    # the walk keeps its narrow offset rows to itself: counts leave as int, orders as int64
+    assert all(type(h) is int for U in (S, T) for h in _walk(U, None)[0])
+    assert [_walk(U, None)[1].dtype for U in (S, T)] == [np.int64] * 2
     assert E.shift(2**40).min_element == E.min_element + 2**40
 
 

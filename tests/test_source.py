@@ -149,11 +149,11 @@ def _names_read(tree: ast.Module, function: str) -> set[str]:
 def _shared_hilbert_steps(tree: ast.Module) -> list[str]:
     """Names that tie the Hilbert oracle to the row walk, or the row walk to the min+ kernel."""
     oracle = _names_read(tree, "hilbert_by_set_construction")
-    rows = _names_read(tree, "_rows")
+    walk = _names_read(tree, "_levels")
     return sorted([f"hilbert_by_set_construction: {name}"
-                   for name in oracle & {"_rows", "_walk", "_from_rows", "_narrow",
+                   for name in oracle & {"_levels", "_walk", "_from_rows", "_narrow",
                                          "_second_power"}]
-                  + [f"_rows: {name}" for name in rows if name.startswith("_min_plus")])
+                  + [f"_levels: {name}" for name in walk if name.startswith("_min_plus")])
 
 
 def test_hilbert_routes_stay_independent():
@@ -166,13 +166,13 @@ def test_hilbert_routes_stay_independent():
 def test_hilbert_route_scan_catches_a_leftover():
     tree = ast.parse("def hilbert_by_set_construction(S, h_max):\n"
                      "    return _walk(S).to(h_max + 1).counts\n"
-                     "def _rows(S):\n    yield core._min_plus_steps(S.w, S.min_gens, 1)\n")
-    assert _shared_hilbert_steps(tree) == ["_rows: _min_plus_steps",
+                     "def _levels(S):\n    yield core._min_plus_steps(S.w, S.min_gens, 1)\n")
+    assert _shared_hilbert_steps(tree) == ["_levels: _min_plus_steps",
                                            "hilbert_by_set_construction: _walk"]
     # the oracle may not start from W_2 read off the generators either
     tree = ast.parse("def hilbert_by_set_construction(S, h_max):\n"
                      "    rows = [S.w, hilbert._second_power(S)]\n"
-                     "def _rows(S):\n    yield _second_power(S)\n")
+                     "def _levels(S):\n    yield _second_power(S)\n")
     assert _shared_hilbert_steps(tree) == ["hilbert_by_set_construction: _second_power"]
 
 
