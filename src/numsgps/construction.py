@@ -12,11 +12,12 @@ gcd(e, n1, n2) > 1 and no numerical semigroup arises.
 
 The semigroup is built from its Apery set, which the paper gives in closed
 form: 0, k*n1 for k <= ell, n2, t1, t2 and the s and r families.  Each
-member fills its class mod e, and a two-gather certificate checks that the
+member fills its class mod e, and a one-gather certificate checks that the
 generating set generates exactly that Apery set and that no generator is a
 sum of two others.  So the family claims of :func:`verify_construction` are
-settled when the semigroup is built: a wrong family raises AssertionError
-(CLI exit 4), as a redundant generator does, and never passes silently.
+settled when the semigroup is built: a wrong family raises CertificationError,
+an AssertionError (CLI exit 4), as a redundant generator does, and never
+passes silently.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Any
 import numpy as np
 
 from .core import (
-    LISTING_LIMIT, NumericalSemigroup, SemigroupError, _certify, _certify_generators, _check_size,
+    LISTING_LIMIT, NumericalSemigroup, SemigroupError, SizeLimitError, _certify,
+    _certify_generators, _check_size,
 )
 from .hilbert import apery_table, decrease_levels, hilbert_through_stabilization
 from .ideals import is_almost_symmetric, nari_partition, pseudo_frobenius, semigroup_type
@@ -121,7 +123,7 @@ def construct_asd(ell: int) -> ConstructionData:
     each nonzero class mod e exactly once (this also fails when
     gcd(e, n1, n2) > 1), and certified against the generators; nothing is
     rebuilt by :meth:`NumericalSemigroup.from_generators`.  Every structural
-    count is checked at build time, so a wrong family raises AssertionError
+    count is checked at build time, so a wrong family raises CertificationError
     rather than return a plausible semigroup.
     """
     if ell < 4:
@@ -134,8 +136,8 @@ def construct_asd(ell: int) -> ConstructionData:
     # checked before the families, which hold (ell^2 + 3 ell) / 2 and (ell^2 + ell) / 2 entries
     _check_size(e, ell * n1)
     if ell * ell + 2 * ell > LISTING_LIMIT:
-        raise ValueError(f"level {ell}: the s and r families of {ell * ell + 2 * ell} entries"
-                         " exceed the supported size 2**22")
+        raise SizeLimitError(f"level {ell}: the s and r families of {ell * ell + 2 * ell}"
+                             " entries exceed the supported size 2**22")
     t1 = (ell + 1) * n1 - (ell - 1) * e
     t2 = ell * n1 + e - t1
 

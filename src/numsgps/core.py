@@ -42,7 +42,9 @@ import numpy as np
 # inputs sit far below.
 GENERATOR_LIMIT = 1 << 40
 
-# The Apery vector costs 8e bytes and the round robin a few times that.
+# The Apery vector costs 8e bytes.  The round robin peaks at 88e bytes with it, by
+# tracemalloc on two to three generators: _relax holds index, best, lap and steps
+# of 2e entries each plus temporaries as large; 1.4 GiB at this limit.
 MULTIPLICITY_LIMIT = 1 << 24
 
 # Every Apery value is at most (e - 1) * max(gens); below this bound the
@@ -73,6 +75,10 @@ class CertificationError(SemigroupError, AssertionError):
     """Two routes to a documented invariant disagree: a fault in this package, not in the input."""
 
 
+class SizeLimitError(SemigroupError, ValueError):
+    """A size guard rejects the input before anything of that size is built."""
+
+
 def _certify(ok: bool, message: str) -> None:
     """Fail a documented cross-check; an explicit raise also fires under ``python -O``."""
     if not ok:
@@ -87,9 +93,12 @@ def _members(w: np.ndarray, x):
 def _narrow(lo: int, hi: int) -> type[np.signedinteger]:
     """The dtype of a kernel whose values all lie in [lo, hi]: the narrowest of int16, int32, int64.
 
-    Both margins are strict for int16 and int32 alike, so iinfo(dt).max
-    stays a sentinel above every value.  Only the values are narrowed: a
-    caller keeps its index arithmetic in int64.
+    Both margins are strict for int16 and int32 alike.  No kernel uses
+    iinfo(dt).max as a sentinel; the margins stay strict because they keep
+    the negation of every value in range, as -iinfo(dt).min does not fit,
+    and the int16 and int32 edge tests pin the switch where they put it.
+    Only the values are narrowed: a caller keeps its index arithmetic in
+    int64.
     """
     for dt in (np.int16, np.int32):
         info = np.iinfo(dt)
@@ -128,15 +137,19 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
     per_block = max(1, _GATHER_CELLS // e)
     spare = np.empty(e, dtype=dt)
     for _ in range(steps):
-        out = np.full(e, np.iinfo(dt).max, dtype=dt)
+        # a step's row is its first block's minimum, lowered in place by each later block
         for lo in range(0, len(shifts), per_block):
             if per_block > 1:
                 block = windows[starts[lo : lo + per_block]]
                 block += shifts[lo : lo + per_block, None]  # in place: one temporary, not two
-                least = block.min(axis=0)
-            else:  # e > _GATHER_CELLS: one window, shifted into a spare row with no copy
-                least = np.add(windows[starts[lo]], shifts[lo], out=spare)
-            np.minimum(out, least, out=out)
+                least = np.minimum.reduce(block, axis=0)
+            else:  # e > _GATHER_CELLS: one window, shifted into a spare row with no copy,
+                # but the first gets a row of its own, as the next window overwrites the spare
+                least = np.add(windows[starts[lo]], shifts[lo], out=spare if lo else None)
+            if lo:
+                np.minimum(out, least, out=out)
+            else:
+                out = least
         yield out.astype(np.int64, copy=False)
         twice[:e] = twice[e:] = out
 
@@ -149,11 +162,11 @@ def _min_plus(v: np.ndarray, shifts) -> np.ndarray:
 def _per_class(starts: np.ndarray, counts: np.ndarray, what: str) -> tuple[int, ...]:
     """starts[r] + j e for 0 <= j < counts[r] over every class r, ascending; e = len(starts).
 
-    Built class by class in O(size + e) memory; ValueError past LISTING_LIMIT.
+    Built class by class in O(size + e) memory; SizeLimitError past LISTING_LIMIT.
     """
     size = int(counts.sum())
     if size > LISTING_LIMIT:
-        raise ValueError(f"{what} of {size} elements exceeds the supported size 2**22")
+        raise SizeLimitError(f"{what} of {size} elements exceeds the supported size 2**22")
     steps = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
     return tuple(np.sort(np.repeat(starts, counts) + len(starts) * steps).tolist())
 
@@ -161,11 +174,11 @@ def _per_class(starts: np.ndarray, counts: np.ndarray, what: str) -> tuple[int, 
 def _check_size(e: int, top: int) -> None:
     """Reject a semigroup of multiplicity e and largest generator top before allocating."""
     if top > GENERATOR_LIMIT:
-        raise ValueError(f"generator {top} exceeds the supported range 2**40")
+        raise SizeLimitError(f"generator {top} exceeds the supported range 2**40")
     if e > MULTIPLICITY_LIMIT:
-        raise ValueError(f"multiplicity {e} exceeds the supported range 2**24")
+        raise SizeLimitError(f"multiplicity {e} exceeds the supported range 2**24")
     if (e - 1) * top > APERY_LIMIT:
-        raise ValueError(
+        raise SizeLimitError(
             f"Apery values up to (e - 1) * {top} exceed the supported range 2**59"
         )
 
@@ -270,9 +283,10 @@ class NumericalSemigroup:
     def from_generators(cls, gens: Iterable[int]) -> "NumericalSemigroup":
         """Build the semigroup generated by ``gens``.
 
-        Raises GcdError when gcd(gens) != 1 and ValueError on empty, nonpositive
-        or oversized input.  The stored generating system is minimalized, so
-        redundant input generators are discarded.
+        Raises GcdError when gcd(gens) != 1, ValueError on empty or nonpositive
+        input and SizeLimitError, a ValueError too, on oversized input.  The
+        stored generating system is minimalized, so redundant input generators
+        are discarded.
         """
         glist = sorted(set(int(g) for g in gens))
         if not glist:
@@ -301,7 +315,7 @@ class NumericalSemigroup:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """The class r holds the gaps r, r + e, ..., w[r] - e; ValueError past LISTING_LIMIT."""
+        """The class r holds the gaps r, r + e, ..., w[r] - e; SizeLimitError past LISTING_LIMIT."""
         e = self.multiplicity
         return _per_class(np.arange(e, dtype=np.int64), self.w // e, "gap listing")
 

@@ -48,8 +48,8 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
-    _GATHER_CELLS, LISTING_LIMIT, NotMember, NumericalSemigroup, SemigroupError, _certify,
-    _min_plus, _min_plus_steps, _narrow,
+    _GATHER_CELLS, LISTING_LIMIT, NotMember, NumericalSemigroup, SemigroupError, SizeLimitError,
+    _certify, _min_plus, _min_plus_steps, _narrow,
 )
 
 
@@ -133,11 +133,13 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     reached = np.empty(cells, dtype=dt)
     stays = np.empty(cells, dtype=bool)
     twice = np.concatenate([S.w, S.w], dtype=dt)
-    D, drop = twice[:e], np.empty(e, dtype=dt)
+    # e as a scalar of the walk's dtype: a Python int doubles the fixed cost of the ufunc call
+    D, drop, e_dt = twice[:e], np.empty(e, dtype=dt), dt(e)
     yield D, np.ones(e, dtype=bool)
     inZ = np.arange(e) != 0
     for level in count(1):
-        D -= np.multiply(inZ, e, out=drop)  # a where= mask would loop once per run of kept classes
+        # a where= mask would loop once per run of kept classes
+        D -= np.multiply(inZ, e_dt, out=drop)
         twice[e:] = D
         yield D, inZ
         frontier = inZ.nonzero()[0]
@@ -147,10 +149,11 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             inZ = _second_power(S) == S.w  # W_2 = W_1 off class 0, where W_2[0] = 2e
             continue
         inZ.fill(False)
-        active = np.zeros(len(shifts), dtype=bool)
         rows = min(len(frontier), max(1, _GATHER_CELLS // len(shifts)))
         size = rows * len(shifts)
-        index, sums, hits = (buf[:size].reshape(rows, -1) for buf in (target, reached, stays))
+        index = target[:size].reshape(rows, -1)
+        sums = reached[:size].reshape(rows, -1)
+        hits = stays[:size].reshape(rows, -1)
         for lo in range(0, len(frontier), rows):
             s = frontier[lo : lo + rows, None]
             r = np.add(s, steps, out=index[: len(s)])
@@ -158,11 +161,11 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             gap = np.take(twice, r, out=sums[: len(s)], mode="clip")
             gap -= shifts
             hit = np.equal(gap, D[s], out=hits[: len(s)])
-            kept = r[hit]
-            kept -= e  # in [-e, e): a negative index counts from the end, so it names r mod e
-            inZ[kept] = True  # a class may be kept from several blocks
-            active |= hit.any(axis=0)
-        if not active.all():
+            # r < 2e, so wrapping names the class r mod e; a class may be kept from several blocks
+            inZ.put(r[hit], True, mode="wrap")
+            seen = np.logical_or.reduce(hit, axis=0)
+            active = seen if lo == 0 else active | seen
+        if not np.logical_and.reduce(active):
             steps, shifts = steps[active], shifts[active]
 
 
@@ -284,11 +287,11 @@ class HilbertFunction:
 def _from_rows(S: NumericalSemigroup, h_max: int, extend: bool) -> HilbertFunction:
     """H(0..h_max) off the rows, through ``stable_from`` as well if ``extend``; unchecked.
 
-    The walk runs to h_max + 1 levels, or to W_R if ``extend``.  ValueError
+    The walk runs to h_max + 1 levels, or to W_R if ``extend``.  SizeLimitError
     past LISTING_LIMIT levels, before any row is built.
     """
     if h_max > LISTING_LIMIT:
-        raise ValueError(f"h_max {h_max} exceeds the supported range 2**22")
+        raise SizeLimitError(f"h_max {h_max} exceeds the supported range 2**22")
     counts = _walk(S, None if extend else h_max + 1)[0]
     # stable_from is R - 1 once W_R is read; short of it, R - 1 >= len(counts) > h_max
     start = len(counts) - 1 if counts[-1] == S.multiplicity else len(counts)
@@ -419,13 +422,14 @@ def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
     column 0 has s - e outside S, and the last column's s + e is never read.
     The grid is grouped once (C_k by order, D_k by order + 1, D_k^t by (k, t)),
     and one grouping of Ap_k and the D_h^k + e, h < k, checks that they split C_k.
-    ValueError past LISTING_LIMIT grid cells, before any is built.
+    SizeLimitError past LISTING_LIMIT grid cells, before any is built.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     e = S.multiplicity
     if e * (k_max + 1) > LISTING_LIMIT:
-        raise ValueError(f"layer grid of {e * (k_max + 1)} cells exceeds the supported size 2**22")
+        raise SizeLimitError(f"layer grid of {e * (k_max + 1)} cells"
+                             " exceeds the supported size 2**22")
     grid = S.w[:, None] + e * np.arange(k_max + 1)
     orders = _orders(S, grid)
     below = np.full_like(orders, -1)  # ord(s - e); -1 where s - e is not in S

@@ -19,13 +19,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import APERY_LIMIT, NumericalSemigroup, _certify, _members, _min_plus, _per_class
+from .core import (
+    APERY_LIMIT, NumericalSemigroup, SizeLimitError, _certify, _members, _min_plus, _per_class,
+)
 
 
 def _check_range(*values) -> None:
     """Keep ideal elements, shifts and their sums inside int64."""
     if any(abs(int(v)) > APERY_LIMIT for v in values):
-        raise ValueError("ideal elements exceed the supported range 2**59")
+        raise SizeLimitError("ideal elements exceed the supported range 2**59")
 
 
 def _below(w: np.ndarray, threshold: int) -> np.ndarray:
@@ -95,7 +97,7 @@ class RelativeIdeal:
 
     @property
     def small(self) -> tuple[int, ...]:
-        """The members below ``threshold``, ascending; ValueError past LISTING_LIMIT.
+        """The members below ``threshold``, ascending; SizeLimitError past LISTING_LIMIT.
 
         Built class by class (w[r], w[r] + e, ...) in O(size + e) memory.
         """
@@ -108,8 +110,10 @@ class RelativeIdeal:
     # -- arithmetic ----------------------------------------------------------
 
     def shift(self, z: int) -> "RelativeIdeal":
+        """The ideal z + E, whose class r holds w[(r - z) mod e] + z: a rotation by two slices."""
         _check_range(z)
-        return RelativeIdeal._of(self.ambient, np.roll(self.w, z % len(self.w)) + z)
+        w, cut = self.w, len(self.w) - z % len(self.w)
+        return RelativeIdeal._of(self.ambient, np.concatenate((w[cut:], w[:cut])) + z)
 
     def __add__(self, other: "RelativeIdeal") -> "RelativeIdeal":
         return ideal_sum(self, other)
@@ -132,7 +136,7 @@ class RelativeIdeal:
     def __repr__(self) -> str:
         try:
             small = self.small
-        except ValueError:  # past LISTING_LIMIT: the Apery vector stands in for the listing
+        except SizeLimitError:  # past LISTING_LIMIT: the Apery vector stands in for the listing
             return f"RelativeIdeal(w={self.w.tolist()}, threshold={self.threshold})"
         return f"RelativeIdeal(small={small}, threshold={self.threshold})"
 

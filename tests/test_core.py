@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 import numsgps.core
 from numsgps import (
-    CertificationError, GcdError, NumericalSemigroup, SemigroupError, is_symmetric,
-    parse_generators, pseudo_frobenius,
+    CertificationError, GcdError, NumericalSemigroup, SemigroupError, SizeLimitError,
+    construct_asd, hilbert_function, is_symmetric, layer_sets, parse_generators,
+    pseudo_frobenius, semigroup_as_ideal,
 )
 from numsgps.cli import main
-from numsgps.core import APERY_LIMIT, MULTIPLICITY_LIMIT, _min_plus, _min_plus_steps
+from numsgps.core import (
+    _GATHER_CELLS, APERY_LIMIT, MULTIPLICITY_LIMIT, _min_plus, _min_plus_steps,
+)
 
 from conftest import brute_members, record_narrow, run_script
 
@@ -271,6 +274,21 @@ def test_min_plus_steps_with_one_shift_per_block_match_brute_force(rng, monkeypa
         assert got == want[1:]
 
 
+def test_min_plus_steps_past_the_gather_block_keep_the_first_window(rng):
+    # e > _GATHER_CELLS: every window is its own block and all but the first are shifted
+    # into one spare row, so the first must not live there; descending shifts make the
+    # later windows differ from it on most classes
+    e = _GATHER_CELLS + 7
+    v = np.array([rng.randint(-300, 300) for _ in range(e)], dtype=np.int64)
+    shifts = [90001, 4099, 17, 3]
+    want = [v]
+    for _ in range(3):
+        want.append(np.min([np.roll(want[-1], s) + s for s in shifts], axis=0))
+    got = list(_min_plus_steps(v, shifts, 3))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want[1:], strict=True))
+    assert np.array_equal(_min_plus(v, shifts), want[1])
+
+
 def test_min_plus_indices_stay_int64_when_e_passes_the_int16_range(monkeypatch):
     # the values fit int16, but e does not: the window starts e - (s mod e) must come
     # from int64 shifts, and the int16 sums must not wrap
@@ -303,3 +321,24 @@ def test_certification_error_is_typed_and_fires_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("1 True closed form: generators do not generate the closed-form"
                            " Apery set\n")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NumericalSemigroup.from_generators([3, 2**41 + 1]), "generator 2199023255553"),
+    (lambda: NumericalSemigroup.from_generators([2**24 + 1, 2**24 + 2]), "multiplicity 16777217"),
+    (lambda: NumericalSemigroup.from_generators([2**20, 2**40 - 1]), "Apery values up to"),
+    (lambda: NumericalSemigroup.from_generators([2, 2**23 + 3]).gaps, "gap listing of 4194305"),
+    (lambda: hilbert_function(NumericalSemigroup.from_generators([3, 5]), 2**22 + 1),
+     "h_max 4194305"),
+    (lambda: layer_sets(NumericalSemigroup.from_generators([3, 5]), 2**21), "layer grid of"),
+    (lambda: construct_asd(2048), "level 2048: the s and r families"),
+    (lambda: semigroup_as_ideal(NumericalSemigroup.from_generators([3, 5])).shift(2**60),
+     "ideal elements"),
+])
+def test_size_guards_raise_the_typed_error(call, message):
+    # a size guard is a typed domain error that every ValueError handler still catches
+    assert issubclass(SizeLimitError, SemigroupError) and issubclass(SizeLimitError, ValueError)
+    assert "SizeLimitError" in numsgps.__all__
+    with pytest.raises(SizeLimitError, match="exceeds? the supported") as info:
+        call()
+    assert str(info.value).startswith(message)

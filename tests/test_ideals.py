@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,29 @@ def test_ideal_operations_match_brute(gens, a_gens, b_gens, z):
     K_br = {x for x in range(lo, hi) if f - x < 0 or f - x not in members}
     assert _window(K, lo, hi) == K_br
     assert K.is_proper() == all(x >= 0 and x in members for x in K_br)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=0, max_value=40))
+@example(seed=1, laps=-2, rest=0)  # z a negative multiple of e
+@example(seed=2, laps=3, rest=0)  # z a positive multiple of e past e
+@example(seed=3, laps=-1, rest=1)  # -e < z < 0
+@example(seed=4, laps=0, rest=0)  # z = 0
+@settings(max_examples=60, deadline=None)
+def test_shift_matches_brute_membership(seed, laps, rest):
+    # z + E holds x exactly when E holds x - z, for S and K(S) and any z: negative,
+    # a multiple of e, or more than e away from 0
+    S = random_semigroup(random.Random(seed))
+    e, f = S.multiplicity, S.frobenius
+    z = laps * e + rest % e
+    lo, hi = min(z, 0) - 2 * e - 5, max(z, 0) + S.conductor + 3 * e + 5
+    members = brute_members(S.min_gens, hi - lo + 1)
+    K_br = {y for y in range(lo - z, hi - z) if f - y < 0 or f - y not in members}
+    for E, brute in ((semigroup_as_ideal(S), members), (standard_canonical_ideal(S), K_br)):
+        shifted = E.shift(z)
+        assert _window(shifted, lo, hi) == {x for x in range(lo, hi) if x - z in brute}
+        assert shifted.min_element == E.min_element + z
+        assert shifted.shift(-z) == E
 
 
 def test_ideal_values_outside_int64_headroom_rejected():

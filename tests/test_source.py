@@ -41,6 +41,33 @@ def test_certify_message_scan_sees_fstrings():
     assert sorted(_certify_messages(tree)) == ["'x'", "f'y {k}'", "msg"]
 
 
+def _size_guards(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, exception, message source) of each raise whose message names a supported size."""
+    return sorted((node.lineno, ast.unparse(node.exc.func), ast.unparse(node.exc.args[0]))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                  and node.exc.args and "the supported" in ast.unparse(node.exc.args[0]))
+
+
+def test_size_guards_raise_the_typed_error_with_unique_messages():
+    # each size guard names its limit once, and never as a bare ValueError
+    guards = [(path.name, *guard) for path in SOURCES
+              for guard in _size_guards(ast.parse(path.read_text(), filename=str(path)))]
+    assert len(guards) >= 8
+    assert [g for g in guards if g[2] != "SizeLimitError"] == []
+    messages = [g[3] for g in guards]
+    assert sorted(m for m in set(messages) if messages.count(m) > 1) == []
+
+
+def test_size_guard_scan_catches_a_leftover():
+    tree = ast.parse("if a:\n    raise SizeLimitError(f'x {n} exceeds the supported size')\n"
+                     "raise ValueError('y exceed the supported range'\n"
+                     "                 ' 2**40')\n"
+                     "raise ValueError('bad input')\nraise SizeLimitError\n")
+    assert _size_guards(tree) == [(2, "SizeLimitError", "f'x {n} exceeds the supported size'"),
+                                  (3, "ValueError", "'y exceed the supported range 2**40'")]
+
+
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """Names a module imports and never reads; names listed in ``__all__`` count as read."""
     imported = {}
