@@ -82,8 +82,8 @@ def _resolve_ideal(S: NumericalSemigroup, descriptor: str) -> RelativeIdeal:
     return ideal_generated_by(S, parse_generators(descriptor))
 
 
-def _hilbert_text(values, stable_from) -> str:
-    shown = values if stable_from is None else values[: stable_from + 1] + ("->",)
+def _hilbert_text(H) -> str:
+    shown = H.values if H.stable_from is None else H.values[: H.stable_from + 1] + ("->",)
     return "[" + ", ".join(map(str, shown)) + "]"
 
 
@@ -129,7 +129,7 @@ def cmd_hilbert(args) -> int:
     S = _resolve_semigroup(args.gens)
     H = hilbert_function(S, args.hmax)
     payload = H.to_json()
-    lines = [f"H = {_hilbert_text(H.values, H.stable_from)}"]
+    lines = [f"H = {_hilbert_text(H)}"]
     if H.stable_from is not None:
         levels = decrease_levels(H)
         payload["decrease_levels"] = list(levels)
@@ -168,7 +168,7 @@ def cmd_duplicate(args) -> int:
     }
     lines = [
         f"duplication: e={T.multiplicity} nu={T.embedding_dimension} f={T.frobenius}",
-        f"H = {_hilbert_text(H.values, H.stable_from)}",
+        f"H = {_hilbert_text(H)}",
         f"symmetric: {payload['symmetric']}",
     ]
     if args.emit_generators or not args.json:
@@ -178,7 +178,7 @@ def cmd_duplicate(args) -> int:
         HS = hilbert_through_stabilization(S, max(len(H.values) - 1, 2))
         pred = predicted_duplication_hilbert(HS, semigroup_type(S), len(H.values) - 1)
         payload["predicted_hilbert"] = pred.to_json()
-        lines.append(f"predicted H = {_hilbert_text(pred.values, pred.stable_from)}")
+        lines.append(f"predicted H = {_hilbert_text(pred)}")
     return _emit(args, payload, lines)
 
 
@@ -217,13 +217,12 @@ def cmd_witness(args) -> int:
     for step in report.chain:
         lines.append(
             f"  step {step.index}: e={step.semigroup.multiplicity} type={step.type} "
-            f"H={_hilbert_text(step.hilbert.values, step.hilbert.stable_from)}"
+            f"H={_hilbert_text(step.hilbert)}"
             + (f" (b={step.b})" if step.b is not None else "")
         )
     lines.append(
         f"final (b={report.final_b}): e={report.final.multiplicity} "
-        f"nu={report.final.embedding_dimension} symmetric, "
-        f"H={_hilbert_text(report.final_hilbert.values, report.final_hilbert.stable_from)}"
+        f"nu={report.final.embedding_dimension} symmetric, H={_hilbert_text(report.final_hilbert)}"
     )
     return _emit(args, payload, lines)
 

@@ -42,9 +42,9 @@ import numpy as np
 # inputs sit far below.
 GENERATOR_LIMIT = 1 << 40
 
-# The Apery vector costs 8e bytes.  The round robin peaks at 88e bytes with it, by
-# tracemalloc on two to three generators: _relax holds index, best, lap and steps
-# of 2e entries each plus temporaries as large; 1.4 GiB at this limit.
+# The Apery vector costs 8e bytes.  The round robin peaks at 32e bytes with it, by
+# tracemalloc on two to three generators: _relax holds steps, index and best of at
+# most e entries each; 0.5 GiB at this limit.
 MULTIPLICITY_LIMIT = 1 << 24
 
 # Every Apery value is at most (e - 1) * max(gens); below this bound the
@@ -88,6 +88,13 @@ def _certify(ok: bool, message: str) -> None:
 def _members(w: np.ndarray, x):
     """Membership of x (an integer or an array) in the set with Apery vector ``w``."""
     return x >= w[x % len(w)]
+
+
+def _maximal(w: np.ndarray) -> np.ndarray:
+    """The vector of M = T \\ {0}, for T the set with Apery vector ``w``: w with w[0] = e."""
+    maximal = w.copy()
+    maximal[0] = len(w)
+    return maximal
 
 
 def _narrow(lo: int, hi: int) -> type[np.signedinteger]:
@@ -184,27 +191,27 @@ def _check_size(e: int, top: int) -> None:
 
 
 def _relax(w: np.ndarray, g: int) -> None:
-    """Close the Apery vector ``w`` under +g > 0 in place.
+    """Close the Apery vector ``w`` under +g > 0 in place, once around each cycle of +g mod e.
 
-    Relaxes w[r + g] against w[r] + g along each cycle r -> r + g (mod e);
-    one prefix minimum over the cycle taken twice around passes every
-    start, including the cycle's minimum.  A multiple g of e changes
-    nothing, as w[r] + g >= w[r] lies in the class of w[r], so it returns
-    at once.
+    With P_i the least w[c_j] - j g over j <= i on a cycle c_0, c_1, ..., w[c_i] becomes
+    min(P_i + i g, P_last + (i + length) g): a path into c_i that wraps around, from c_j with
+    j > i, costs w[c_j] - j g + (i + length) g, and one with j <= i pays a lap more than P_i's.
+    Entries stay below 2**62 + 2 e g < 2**63 under APERY_LIMIT.  A multiple g of e changes
+    nothing, as w[r] + g lies in the class of w[r], so it returns at once.
     """
     e = len(w)
     if g % e == 0:
         return
-    d = math.gcd(g, e)
-    length = e // d
-    # row c < d walks c, c + g, c + 2g, ... (mod e) twice around its cycle
-    lap = np.arange(2 * length, dtype=np.int64)
-    index = lap * (g % e) % e + np.arange(d, dtype=np.int64)[:, None]
-    steps = lap * g
-    best = w[index] - steps
+    length = e // math.gcd(g, e)
+    # row c < e / length walks c, c + g, c + 2g, ... (mod e) once around its cycle
+    steps = np.arange(length, dtype=np.int64) * g
+    index = steps % e + np.arange(e // length, dtype=np.int64)[:, None]
+    best = w[index]
+    best -= steps
     np.minimum.accumulate(best, axis=1, out=best)
+    np.minimum(best, best[:, -1:] + length * g, out=best)
     best += steps
-    w[index[:, :length]] = np.minimum(best[:, :length], best[:, length:])
+    w[index] = best
 
 
 def _certify_generators(G: tuple[int, ...], w: np.ndarray, where: str) -> None:
@@ -223,8 +230,7 @@ def _certify_generators(G: tuple[int, ...], w: np.ndarray, where: str) -> None:
     m = len(w)
     g = np.asarray(G, dtype=np.int64)
     classes = g % m
-    maximal = w.copy()
-    maximal[0] = m
+    maximal = _maximal(w)
     reached = _min_plus(maximal, g)
     above = reached[classes]
     np.minimum.at(reached, classes, g)  # in place: min+(w, G), no second vector of length m

@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import (
     _GATHER_CELLS, LISTING_LIMIT, NotMember, NumericalSemigroup, SemigroupError, SizeLimitError,
-    _certify, _min_plus, _min_plus_steps, _narrow,
+    _certify, _maximal, _min_plus, _min_plus_steps, _narrow,
 )
 
 
@@ -71,9 +71,8 @@ def _second_power(S: NumericalSemigroup) -> np.ndarray:
     ``S.min_gens`` being minimal.
     """
     e = S.multiplicity
-    row = S.w.copy()
-    row[0] = 2 * e
-    row[np.array(S.min_gens[1:], dtype=np.int64) % e] += e
+    row = _maximal(S.w)
+    row[np.array(S.min_gens, dtype=np.int64) % e] += e  # e itself lands on class 0
     return row
 
 
@@ -381,7 +380,7 @@ def apery_table(S: NumericalSemigroup) -> AperyTable:
     _certify(strata.get(1, ()) == tuple(g for g in S.min_gens if g != e),
              "order-1 Apery stratum differs from the minimal generators")
     # the walk reads W_2 off the generators, so order 1 is checked against one gathered Ap(2M)
-    ap2 = _min_plus(np.r_[e, S.w[1:]], S.min_gens)
+    ap2 = _min_plus(_maximal(S.w), S.min_gens)
     _certify(strata.get(1, ()) == tuple(np.sort(S.w[1:][ap2[1:] != S.w[1:]]).tolist()),
              "order-1 Apery stratum differs from the Apery elements outside the gathered Ap(2M)")
     return AperyTable(elements=elements, orders=orders, strata=strata)

@@ -20,7 +20,8 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    APERY_LIMIT, NumericalSemigroup, SizeLimitError, _certify, _members, _min_plus, _per_class,
+    APERY_LIMIT, NumericalSemigroup, SizeLimitError, _certify, _maximal, _members, _min_plus,
+    _per_class,
 )
 
 
@@ -159,9 +160,7 @@ def semigroup_as_ideal(S: NumericalSemigroup) -> RelativeIdeal:
 
 def maximal_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """M(S) = S \\ {0}."""
-    w = S.w.copy()
-    w[0] = S.multiplicity
-    return RelativeIdeal._of(S, w)
+    return RelativeIdeal._of(S, _maximal(S.w))
 
 
 def ideal_sum(E: RelativeIdeal, F: RelativeIdeal) -> RelativeIdeal:

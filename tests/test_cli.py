@@ -174,6 +174,17 @@ def test_duplicate_large_canonical_json_fails_fast():
     assert "Traceback" not in proc.stderr
 
 
+def test_info_at_the_multiplicity_limit_in_bounded_memory():
+    # e = 2**24 - 3 passes every size guard, so the round robin must fit under the cap
+    proc = run_capped_cli(["info", "16777213,16777215"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "frobenius:           281474876047367" in lines
+    assert "genus:               140737438023684" in lines
+    assert "type:                1" in lines
+
+
 def test_duplicate_hmax_zero_exit_2(capsys):
     # --hmax 0 is a given h_max, not "through stabilization"
     code, out, err = run(capsys, "duplicate", "4,5", "--ideal", "maximal", "--b", "5", "--hmax", "0")

@@ -14,7 +14,8 @@ from numsgps import (
 )
 from numsgps.cli import main
 from numsgps.core import (
-    _GATHER_CELLS, APERY_LIMIT, MULTIPLICITY_LIMIT, _min_plus, _min_plus_steps,
+    _GATHER_CELLS, _UNREACHED, APERY_LIMIT, MULTIPLICITY_LIMIT, _min_plus, _min_plus_steps,
+    _relax,
 )
 
 from conftest import brute_members, record_narrow, run_script
@@ -170,6 +171,45 @@ def _sylvester(p, q):
 @pytest.mark.parametrize("p,q", [(3, 2**40), (10007, 10009), (1000003, 1000033)])
 def test_two_large_generators(p, q):
     _sylvester(p, q)
+
+
+@st.composite
+def _relax_cases(draw):
+    e = draw(st.integers(min_value=1, max_value=40))
+    g = draw(st.one_of(st.integers(min_value=1, max_value=3 * e),
+                       st.integers(min_value=1, max_value=3).map(lambda laps: laps * e)))
+    entry = st.one_of(st.integers(min_value=0, max_value=10**6), st.just(_UNREACHED))
+    return draw(st.lists(entry, min_size=e, max_size=e)), g
+
+
+@given(_relax_cases())
+@example(([0, 5, 9, 2, _UNREACHED, 7], 4))  # gcd(g, e) = 2: two cycles of three
+@example(([9, 0, 4, 7, 1, 8, 3, 6], 14))  # g > e and gcd 2; the minima sit mid-cycle
+@example(([3, _UNREACHED, 1], 6))  # a multiple of e changes nothing
+@example(([_UNREACHED, _UNREACHED, _UNREACHED, _UNREACHED, 0], 2))  # c_0, c_1 only by the wrap
+@example(([_UNREACHED] * 3, 1))  # nothing reached stays unreached
+@settings(max_examples=300, deadline=None)
+def test_relax_matches_brute_force_over_arbitrary_vectors(case):
+    # any vector, not only an Apery one: w[r] becomes the least w[r - k g] + k g over k < e
+    v, g = case
+    e = len(v)
+    want = [min(v[(r - k * g) % e] + k * g for k in range(e)) for r in range(e)]
+    w = np.array(v, dtype=np.int64)
+    _relax(w, g)
+    assert w.tolist() == want
+
+
+@pytest.mark.parametrize("gens", [[2**18, 2**18 + 1], [999983, 999985, 999989]])
+def test_round_robin_peak_memory_per_class(gens):
+    # the Apery vector plus _relax's steps, index and prefix minima, each of at most e
+    # entries, take 32 bytes a class
+    tracemalloc.start()
+    try:
+        NumericalSemigroup.from_generators(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * gens[0]
 
 
 def _rejected_before_allocating(gens, match):
