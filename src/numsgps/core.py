@@ -126,7 +126,9 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
     int64 vector, so memory stays O(e) for any number of steps.  A block
     gathers _GATHER_CELLS // e windows and reduces them; once e passes
     _GATHER_CELLS a block is one window, which is shifted into a spare row
-    with no gathered copy and no reduction.
+    with no gathered copy and no reduction.  Between steps the kernel holds
+    only the windows [v_j, v_j] and the spare row: it drops v_j once written
+    back, so for a caller that keeps no yielded vector a step adds one row.
     """
     e = len(v)
     shifts = np.asarray(shifts, dtype=np.int64)
@@ -159,6 +161,7 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
                 out = least
         yield out.astype(np.int64, copy=False)
         twice[:e] = twice[e:] = out
+        del out, least  # so the next step's first window takes this row's memory
 
 
 def _min_plus(v: np.ndarray, shifts) -> np.ndarray:
@@ -268,12 +271,13 @@ class NumericalSemigroup:
     :func:`_certify_generators`.
     """
 
-    __slots__ = ("min_gens", "w", "frobenius", "conductor")
+    __slots__ = ("min_gens", "w", "frobenius", "conductor", "genus")
 
     min_gens: tuple[int, ...]
     w: np.ndarray
     frobenius: int
     conductor: int
+    genus: int
 
     def __init__(self, min_gens: tuple[int, ...], w: np.ndarray):
         w.setflags(write=False)
@@ -281,6 +285,8 @@ class NumericalSemigroup:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "frobenius", int(w.max()) - min_gens[0])
         object.__setattr__(self, "conductor", self.frobenius + 1)
+        # Selmer's formula: the class r mod e holds w[r] // e gaps
+        object.__setattr__(self, "genus", int((w // min_gens[0]).sum()))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("NumericalSemigroup is immutable")
@@ -313,11 +319,6 @@ class NumericalSemigroup:
     @property
     def embedding_dimension(self) -> int:
         return len(self.min_gens)
-
-    @property
-    def genus(self) -> int:
-        """Selmer's formula: the class r mod e holds w[r] // e gaps."""
-        return int((self.w // self.multiplicity).sum())
 
     @property
     def gaps(self) -> tuple[int, ...]:

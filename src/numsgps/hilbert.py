@@ -61,18 +61,22 @@ class NotStabilized(SemigroupError):
 # Apery vectors of the powers kM (production route)
 # ---------------------------------------------------------------------------
 
-def _second_power(S: NumericalSemigroup) -> np.ndarray:
-    """W_2 = Ap(2M) read off the minimal generators, with no gather.
+def _rising_at_two(S: NumericalSemigroup) -> np.ndarray:
+    """The classes where W_2 = W_1 + e, read with no gather: class 0 and the g mod e for g in G.
 
     A nonzero Apery element lies in 2M exactly when it is not a minimal
     generator, each minimal generator g != e is the Apery element of its
-    class, and e is not in 2M.  So W_2 is W_1 = Ap(M), which is W_0 with
-    W_1[0] = e, plus e on class 0 and the classes g mod e.  This leans on
-    ``S.min_gens`` being minimal.
+    class, and e is not in 2M.  So W_2 = Ap(2M) is W_1 = Ap(M), which is W_0
+    with W_1[0] = e, plus e on class 0 and the classes g mod e.  This leans
+    on ``S.min_gens`` being minimal.
     """
-    e = S.multiplicity
+    return np.array(S.min_gens, dtype=np.int64) % S.multiplicity  # e itself lands on class 0
+
+
+def _second_power(S: NumericalSemigroup) -> np.ndarray:
+    """W_2 = Ap(2M): W_1 plus e on the classes of :func:`_rising_at_two`."""
     row = _maximal(S.w)
-    row[np.array(S.min_gens, dtype=np.int64) % e] += e  # e itself lands on class 0
+    row[_rising_at_two(S)] += S.multiplicity
     return row
 
 
@@ -87,8 +91,8 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     W_k[s] + g >= W_k[r] + e, as (k-1)M + g lies in kM; so only the frontier
     Z_k = {s : W_k[s] = W_{k-1}[s]} can keep a class, and g = e never does.
     W_1 = Ap(M) is W_0 with W_1[0] = e, so Z_1 = {r != 0}.  W_2 = Ap(2M)
-    needs no gather (:func:`_second_power`), so Z_2 is read off it.  R is
-    the reduction index, the first k >= 1 with Z_k empty, that is
+    needs no gather, so Z_2 is Z_1 off the classes of :func:`_rising_at_two`.
+    R is the reduction index, the first k >= 1 with Z_k empty, that is
     W_k = W_{k-1} + e (kM = (k-1)M + e); from there on every row is the
     previous one plus e.  Z_0 is every class, vacuously.
 
@@ -118,7 +122,10 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     elements, so max(W_0) covers the generators too.  The walk runs in the
     dtype :func:`core._narrow` picks for that range; class indices stay
     int64.  Both yielded arrays are the walk's own buffers, overwritten at
-    the next level, so memory stays O(e) for any R.
+    the next level, so memory stays O(e) for any R.  Besides S.w the walk
+    holds [D, D], the row it subtracts, the mask Z_k, one frontier of int64
+    class indices, released before the next one is built, and the gather
+    blocks: 33 e bytes in int64 plus the blocks, whatever the level.
     """
     e, top = S.multiplicity, S.min_gens[-1]
     dt = _narrow(-top, int(S.w.max()))
@@ -134,19 +141,20 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     twice = np.concatenate([S.w, S.w], dtype=dt)
     # e as a scalar of the walk's dtype: a Python int doubles the fixed cost of the ufunc call
     D, drop, e_dt = twice[:e], np.empty(e, dtype=dt), dt(e)
-    yield D, np.ones(e, dtype=bool)
-    inZ = np.arange(e) != 0
+    inZ = np.ones(e, dtype=bool)
+    yield D, inZ
+    inZ[0] = False
     for level in count(1):
         # a where= mask would loop once per run of kept classes
         D -= np.multiply(inZ, e_dt, out=drop)
         twice[e:] = D
         yield D, inZ
+        if level == 1 and e > 1:  # Z_1 is empty only for e = 1, where R = 1
+            inZ[_rising_at_two(S)] = False
+            continue
         frontier = inZ.nonzero()[0]
         if not len(frontier):
             return
-        if level == 1:
-            inZ = _second_power(S) == S.w  # W_2 = W_1 off class 0, where W_2[0] = 2e
-            continue
         inZ.fill(False)
         rows = min(len(frontier), max(1, _GATHER_CELLS // len(shifts)))
         size = rows * len(shifts)
@@ -164,6 +172,7 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             inZ.put(r[hit], True, mode="wrap")
             seen = np.logical_or.reduce(hit, axis=0)
             active = seen if lo == 0 else active | seen
+        del frontier, s  # the last block's view s would keep this frontier alive through the next
         if not np.logical_and.reduce(active):
             steps, shifts = steps[active], shifts[active]
 
@@ -236,12 +245,16 @@ def hilbert_by_set_construction(S: NumericalSemigroup, h_max: int) -> list[int]:
     starting from W_0 = Ap(S).  kM \\ (k+1)M holds (W_{k+1}[r] - W_k[r]) / e
     members of the class r, so H(k) = sum(W_{k+1} - W_k) / e.  One kernel
     call runs every level in O(e) memory; W_k <= W_0 + k e bounds its dtype.
+
+    Only the row sums are kept, one Python int a level: each row is summed as
+    the kernel yields it and dropped before the next is built, so besides
+    S.w the oracle holds the kernel's windows, its spare row and one row, at
+    most 32 e bytes plus one gather block.  A row sum wraps mod 2**64 in
+    int64 once the values grow large, but each level adds e H(k) <= e**2 <
+    2**63 to it, so the difference of two sums taken mod 2**64 is exact.
     """
-    row, values = S.w, []
-    for nxt in _min_plus_steps(S.w, S.min_gens, h_max + 1):
-        values.append(int((nxt - row).sum()) // S.multiplicity)
-        row = nxt
-    return values
+    sums = [int(S.w.sum()), *map(int, map(np.sum, _min_plus_steps(S.w, S.min_gens, h_max + 1)))]
+    return [(nxt - row) % (1 << 64) // S.multiplicity for row, nxt in zip(sums, sums[1:])]
 
 
 # ---------------------------------------------------------------------------

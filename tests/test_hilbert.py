@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from functools import lru_cache
 from itertools import islice
 
@@ -544,6 +545,52 @@ def test_two_primes_near_30000_hilbert_under_256_mb():
     proc = run_capped_cli(["hilbert", "30011,30013", "--hmax", "3"], cap=256 << 20)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("H = [1, 2, 3, 4]\n")
+
+
+@pytest.mark.parametrize("h_max", [2, 3])
+def test_hilbert_at_the_multiplicity_limit_under_896_mib(h_max):
+    # e = 2**24 - 3: S.w is 128 MiB, then the walk adds about 34.6 bytes a class and the oracle 32
+    proc = run_capped_cli(["hilbert", "16777213,16777215", "--hmax", str(h_max)], cap=896 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[0] == f"H = {list(range(1, h_max + 2))}"
+
+
+def _peak_per_class(S, call) -> float:
+    """tracemalloc peak of ``call()`` in bytes per class of S, with no walk cached."""
+    _walk.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _walk.cache_clear()
+    return peak / S.multiplicity
+
+
+@pytest.mark.parametrize("h_max", [2, 3])
+def test_hilbert_path_peak_bytes_per_class(h_max):
+    # on top of S.w: the walk holds [D, D], the subtracted row, the mask and one frontier
+    # (33 bytes a class in int64) and the oracle the kernel's windows, spare row and one row (32)
+    S = NumericalSemigroup.from_generators([2**20 - 3, 2**20 - 1])
+    assert _peak_per_class(S, lambda: hilbert_function(S, h_max)) <= 36
+    assert _peak_per_class(S, lambda: hilbert_by_set_construction(S, h_max)) <= 33
+
+
+@pytest.mark.parametrize("gens", [
+    [8191, 2**40 - 1],  # W_0 sums to about 2**65
+    # W_0 = {j g : j < e} sums to 2**63 - 8, so the int64 sums of W_0 and W_1 straddle the wrap
+    [4681, 842044858270],
+])
+def test_set_construction_oracle_row_sums_wrap_exactly(gens):
+    # the row sums wrap mod 2**64 in int64, and their differences, e H(k) < 2**63, are
+    # read mod 2**64
+    S = NumericalSemigroup.from_generators(gens)
+    assert int(S.w.astype(object).sum()) >= 2**63 - 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hilbert_by_set_construction(S, 3) == [1, 2, 3, 4]
 
 
 def test_two_large_generators_layers_in_bounded_memory():

@@ -30,7 +30,7 @@ from numsgps.cli import main
 from numsgps.hilbert import _walk
 from numsgps.ideals import RelativeIdeal
 
-from conftest import _exit_under_python_O, brute_members, random_semigroup
+from conftest import _exit_under_python_O, brute_members, random_semigroup, run_script
 
 S23 = NumericalSemigroup.from_generators([2, 3])
 
@@ -402,3 +402,14 @@ def test_repr_past_listing_limit():
     text = repr(K)
     assert text.startswith(f"RelativeIdeal(w=[{K.w[0]}, {K.w[1]}, ")
     assert text.endswith(f"], threshold={K.threshold})")
+
+
+def test_ideal_constructor_imports_no_masked_arrays():
+    # np.unique with no flag imports numpy.ma on its first call, about 6 ms of a first ideal
+    proc = run_script("import sys\n"
+                      "from numsgps import NumericalSemigroup\n"
+                      "from numsgps.ideals import RelativeIdeal\n"
+                      "RelativeIdeal(NumericalSemigroup.from_generators([4, 5]), [0, 4, 5], 8)\n"
+                      "print('numpy.ma' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

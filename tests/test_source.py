@@ -68,6 +68,25 @@ def test_size_guard_scan_catches_a_leftover():
                                   (3, "ValueError", "'y exceed the supported range 2**40'")]
 
 
+def _bare_uniques(tree: ast.Module) -> list[int]:
+    """Lines of each ``np.unique`` call that passes no keyword."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in ("np.unique", "numpy.unique") and not node.keywords)
+
+
+def test_no_bare_unique_in_package():
+    # with no flag, np.unique imports numpy.ma on its first call in a process (numpy 2.4)
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in _bare_uniques(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+
+
+def test_bare_unique_scan_catches_a_leftover():
+    tree = ast.parse("a = np.unique(x)\nb = np.unique(x, return_index=True)[0]\n"
+                     "c = numpy.unique(y)\nd = x.unique()\n")
+    assert _bare_uniques(tree) == [1, 3]
+
+
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """Names a module imports and never reads; names listed in ``__all__`` count as read."""
     imported = {}
