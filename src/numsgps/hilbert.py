@@ -222,15 +222,24 @@ def _orders(S: NumericalSemigroup, s: np.ndarray) -> np.ndarray:
 
 
 def order_table(S: NumericalSemigroup, bound: int) -> np.ndarray:
-    """ord(s) for every s in [0, bound); -1 marks non-members."""
+    """ord(s) for every s in [0, bound); -1 marks non-members.  SizeLimitError past LISTING_LIMIT."""
+    if bound > LISTING_LIMIT:
+        raise SizeLimitError(f"order table of {bound} elements exceeds the supported size 2**22")
     return _orders(S, np.arange(bound, dtype=np.int64))
 
 
 def element_order(S: NumericalSemigroup, s: int) -> int:
-    """Largest number of nonzero summands expressing s; ord(0) = 0."""
+    """Largest number of nonzero summands expressing s; ord(0) = 0.
+
+    A member s >= 2**62 steps down by q e into [2**62 - e, 2**62), where int64
+    has room, and ord(s) = ord(s - q e) + q: W_{R-1} <= W_0 + (R-1) e is below
+    2**59 + 2**48 under the Apery and multiplicity limits, as R <= e, and past
+    W_{R-1} each e adds one order, since kM = (k-1)M + e for k >= R.
+    """
     if not S.contains(s):
         raise NotMember(f"{s} is not an element of {S!r}")
-    return int(_orders(S, np.array([s], dtype=np.int64))[0])
+    q = max(0, (s - (1 << 62)) // S.multiplicity + 1)
+    return int(_orders(S, np.array([s - q * S.multiplicity], dtype=np.int64))[0]) + q
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +434,27 @@ class LayerSets:
 
 
 def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
-    """Explicit C_k, D_k and D_k^t for 2 <= k <= k_max, in O(e k_max) memory.
+    """Explicit C_k, D_k and D_k^t for 2 <= k <= k_max, off where each class's runs of stays end.
 
-    Read off the grid W_0[r] + j e, j = 0..k_max: W_0[r] lies in S and adding
-    e raises the order by at least one, so ord(W_0[r] + j e) >= j and every
-    member of order <= k_max (each C_k element, each D_k element and its
-    s + e) is on the grid.  s - e and s + e are the neighbouring columns;
-    column 0 has s - e outside S, and the last column's s + e is never read.
-    The grid is grouped once (C_k by order, D_k by order + 1, D_k^t by (k, t)),
-    and one grouping of Ap_k and the D_h^k + e, h < k, checks that they split C_k.
-    SizeLimitError past LISTING_LIMIT grid cells, before any is built.
+    Class r rises at level k when r is not in Z_k, and W_k[r] = W_0[r] + e
+    times its rises through k, so ord(W_0[r] + j e) is one less than the
+    level of its (j+1)-th rise.  Hence C_k = {W_k[r] : r in Z_k \\ Z_{k+1}}:
+    order k, and s - e of order below k - 1 or off S.  And D_h^t is
+    {W_{h-1}[r] : r rises at h, stays through t and rises at t + 1}: order
+    h - 1, and s + e = W_t[r] of order t > h.  So one pass over the frontiers
+    keeps last[r], the level of r's latest rise (0 before any), and reads a
+    run of stays h + 1, ..., k - 1 where it ends, at a rise at level k with
+    h = last[r] < k - 1.  There s = W_{k-1}[r] = D_k[r] + (k - 1) e, widened
+    to int64 first as the walk may run in int16, lies in C_{k-1}; s - e lies
+    in D_h^{k-1} if h >= 2; and s is the Apery element of order k - 1 if
+    h = 0.  Each element arises once.  Only the run ends with h <= k_max are
+    kept, at most e (k_max + 1), and the pass stops past level k_max once no
+    class that last rose at a level in 2..k_max still stays.  Every class
+    rises at W_R, so it reads at most R + 1 levels at O(e) each.
+
+    The run ends are grouped once (C_k by k, D_k by h, D_k^t by (h, t)), and
+    one grouping of Ap_k and the D_h^k + e, h < k, checks that they split C_k.
+    SizeLimitError past LISTING_LIMIT cells of e (k_max + 1), before any level is read.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -442,17 +462,18 @@ def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
     if e * (k_max + 1) > LISTING_LIMIT:
         raise SizeLimitError(f"layer grid of {e * (k_max + 1)} cells"
                              " exceeds the supported size 2**22")
-    grid = S.w[:, None] + e * np.arange(k_max + 1)
-    orders = _orders(S, grid)
-    below = np.full_like(orders, -1)  # ord(s - e); -1 where s - e is not in S
-    below[:, 1:] = orders[:, :-1]
-    above = np.full_like(orders, -1)  # ord(s + e); -1 past the grid
-    above[:, :-1] = orders[:, 1:]
-
-    in_c = (orders >= 2) & (orders <= k_max) & (below < orders - 1)
-    c_grouped = _grouped(orders[in_c], grid[in_c])
-    in_d = (orders >= 1) & (orders < k_max) & (above > orders + 1)
-    d_elems, d_levels, landing = grid[in_d], orders[in_d] + 1, above[in_d]
+    last, ends = np.zeros(e, dtype=np.int64), []
+    for k, (D, inZ) in enumerate(_levels(S)):
+        r = (~inZ & (last < k - 1) & (last <= k_max)).nonzero()[0]  # runs of stays ending at k - 1
+        ends.append((last[r], np.full(len(r), k - 1), D[r].astype(np.int64) + (k - 1) * e))
+        last[~inZ] = k
+        if k > k_max and not ((last >= 2) & (last <= k_max)).any():
+            break
+    rise, order, elems = map(np.concatenate, zip(*ends))  # (h, k - 1, W_{k-1}[r]) per run end
+    in_c = (order >= 2) & (order <= k_max)
+    c_grouped = _grouped(order[in_c], elems[in_c])
+    in_d = rise >= 2
+    d_elems, d_levels, landing = elems[in_d] - e, rise[in_d], order[in_d]
     d_grouped = _grouped(d_levels, d_elems)
     base = int(landing.max(initial=0)) + 1  # above every t, so k * base + t is one-to-one
     d_refined: dict[int, dict[int, tuple[int, ...]]] = {k: {} for k in range(2, k_max + 1)}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import numsgps.core
 from numsgps import (
     CertificationError, GcdError, NumericalSemigroup, SemigroupError, SizeLimitError,
-    construct_asd, hilbert_function, is_symmetric, layer_sets, parse_generators,
+    construct_asd, hilbert_function, is_symmetric, layer_sets, order_table, parse_generators,
     pseudo_frobenius, semigroup_as_ideal,
 )
 from numsgps.cli import main
@@ -371,6 +371,7 @@ def test_certification_error_is_typed_and_fires_under_python_O():
     (lambda: hilbert_function(NumericalSemigroup.from_generators([3, 5]), 2**22 + 1),
      "h_max 4194305"),
     (lambda: layer_sets(NumericalSemigroup.from_generators([3, 5]), 2**21), "layer grid of"),
+    (lambda: order_table(NumericalSemigroup.from_generators([3, 5]), 10**9), "order table of"),
     (lambda: construct_asd(2048), "level 2048: the s and r families"),
     (lambda: semigroup_as_ideal(NumericalSemigroup.from_generators([3, 5])).shift(2**60),
      "ideal elements"),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -233,6 +234,15 @@ def test_element_order_huge_element():
     S = NumericalSemigroup.from_generators([4, 6, 7])
     assert element_order(S, 10**12) == 250000000000
     assert element_order(S, 10**12 + 13) == 250000000002
+
+
+def test_element_order_past_int64():
+    # 2**64 = 4 * 2**62 in class 0, where W_k[0] = 4 k
+    S = NumericalSemigroup.from_generators([4, 6, 7])
+    assert S.contains(2**64)
+    assert element_order(S, 2**64) == 2**62
+    assert element_order(S, 2**63) == 2**61
+    assert element_order(S, 2**63 + 13) == element_order(S, 13) + 2**61
 
 
 @given(semigroup_gens())
@@ -604,12 +614,14 @@ def test_two_large_generators_layers_in_bounded_memory():
 @given(semigroup_gens(), st.integers(min_value=0, max_value=30))
 @example([1], 2)
 @example([2, 3], 3)
-# D_3 = {23} reads column 2 of the grid: 23 = 18 + 5 has order 2, 23 + 5 = 4 * 7 order 4
+# D_3 = {23}, one e above the Apery element 18: 23 has order 2, 23 + 5 = 4 * 7 order 4
 @example([5, 7, 18], 1)
 # D_3 splits over the landing orders 4 and 5; random small semigroups rarely do
 @example(list(fixture_semigroup("ex3_9_nonproper").min_gens), 1)
 # k_max = 2, and D_2 lands at order 4 = k_max + 2: a (k, t) key of base k_max + 2 collides
 @example([5, 6, 19], 0)
+# k_max = 167 = R + 2: the walk runs in int16, and a D-type run end W_{k-1} = 35588 does not fit
+@example([165, 217, 486], 165)
 @settings(max_examples=50, deadline=None)
 def test_layer_sets_match_brute(gens, extra):
     S = NumericalSemigroup.from_generators(gens)
@@ -619,7 +631,7 @@ def test_layer_sets_match_brute(gens, extra):
 
 
 def test_layer_sets_many_levels_in_bounded_memory():
-    # the grid is grouped once, so 10^5 levels cost O(e k_max), not one grid scan per level
+    # the run ends are grouped once, so 10^5 mostly empty levels cost no scan of their own
     proc = run_capped_cli(["hilbert", "4,5", "--hmax", "100000", "--layers"])
     assert proc.returncode == 0, proc.stderr
     assert "C_100000 = [" in proc.stdout
@@ -661,6 +673,25 @@ def test_order_table_reads_no_row_past_its_bound(monkeypatch):
     want = brute_orders(S.min_gens, 3000)
     assert {s: int(got[s]) for s in range(3000) if got[s] >= 0} == want
     assert all(got[s] == -1 for s in range(3000) if s not in want)
+
+
+def test_layer_sets_read_only_the_levels_they_need(monkeypatch):
+    # W_0..W_4 of 10009: past level k_max + 1 = 4 no class that last rose at level 2 or 3 stays
+    S = NumericalSemigroup.from_generators([10007, 10009])
+    read = _count_rows(monkeypatch)
+    apery_table(S)  # the certificate's full walk, cached
+    read.clear()
+    layers = layer_sets(S, 3)
+    assert len(read) == 5
+    assert layers.c_sets == {2: (20018,), 3: (30027,)}
+
+
+def test_layer_sets_cli_over_a_thousand_levels():
+    # e = 4001 and k_max = 1000: about a thousand levels of listings, pinned by their sha256
+    proc = run_capped_cli(["hilbert", "4001,4003", "--hmax", "1000", "--layers"])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "ea7b00f4039acc29492ed36cb329fb6e4633c1601c9b78dec37c0b22a23a82a1")
 
 
 def test_layer_sets_memory_independent_of_conductor():
