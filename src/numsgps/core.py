@@ -105,11 +105,10 @@ def _narrow(lo: int, hi: int) -> type[np.signedinteger]:
     the negation of every value in range, as -iinfo(dt).min does not fit,
     and the int16 and int32 edge tests pin the switch where they put it.
     Only the values are narrowed: a caller keeps its index arithmetic in
-    int64.
+    int64.  The limits are literals: np.iinfo costs about 0.4 us a call.
     """
-    for dt in (np.int16, np.int32):
-        info = np.iinfo(dt)
-        if info.min < lo and hi < info.max:
+    for dt, top in ((np.int16, 1 << 15), (np.int32, 1 << 31)):  # dt holds [-top, top - 1]
+        if -top < lo and hi < top - 1:
             return dt
     return np.int64
 
@@ -124,7 +123,8 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
     so one dtype fits every step (see :func:`_narrow`).  The windows are built
     once and each step is written back into them; each is yielded as a fresh
     int64 vector, so memory stays O(e) for any number of steps.  A block
-    gathers _GATHER_CELLS // e windows and reduces them; once e passes
+    gathers _GATHER_CELLS // e windows and reduces them, its window starts
+    and shifts sliced once for all steps; once e passes
     _GATHER_CELLS a block is one window, which is shifted into a spare row
     with no gathered copy and no reduction.  Between steps the kernel holds
     only the windows [v_j, v_j] and the spare row: it drops v_j once written
@@ -145,17 +145,24 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
     windows = np.ndarray((e + 1, e), dt, buffer=twice, strides=2 * twice.strides)
     per_block = max(1, _GATHER_CELLS // e)
     spare = np.empty(e, dtype=dt)
+    # a one-window block reads its start and shift as it comes: nu pairs of slices,
+    # about 300 bytes each, would outweigh the rows
+    blocks = [(starts[lo : lo + per_block], shifts[lo : lo + per_block, None])
+              for lo in range(0, len(shifts), per_block)] if per_block > 1 else None
     for _ in range(steps):
         # a step's row is its first block's minimum, lowered in place by each later block
-        for lo in range(0, len(shifts), per_block):
+        for i, (start, shift) in enumerate(blocks or zip(starts, shifts)):
             if per_block > 1:
-                block = windows[starts[lo : lo + per_block]]
-                block += shifts[lo : lo + per_block, None]  # in place: one temporary, not two
+                block = windows[start]
+                block += shift  # in place: one temporary, not two
                 least = np.minimum.reduce(block, axis=0)
+                # dropped before the next gather: with two blocks alive the allocator gave
+                # one back to the OS at every other block and faulted it in again
+                del block
             else:  # e > _GATHER_CELLS: one window, shifted into a spare row with no copy,
                 # but the first gets a row of its own, as the next window overwrites the spare
-                least = np.add(windows[starts[lo]], shifts[lo], out=spare if lo else None)
-            if lo:
+                least = np.add(windows[start], shift, out=spare if i else None)
+            if i:
                 np.minimum(out, least, out=out)
             else:
                 out = least

@@ -111,11 +111,11 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     costs O(e) plus |Z_k| |A_{k-1}| gathered cells, with G \\ {e} in place of
     A_1, and a semigroup with nu = e gathers none.
 
-    The walk keeps D_k = W_k - k e in one buffer [D, D], so that
-    twice[s + (g mod e)] = D[(s + g) mod e], and tests
-    D[(s + g) mod e] - g = D[s].  Each level changes only the kept classes:
-    D_{k+1} is D_k minus e on Z_{k+1}, applied in place once the level's
-    blocks are all read, and then copied into the second half.  W_k >= k e
+    The walk keeps D_k = W_k - k e in one row and tests
+    D[(s + g) mod e] - g = D[s], gathering D at s + (g mod e) < 2e with
+    wrapping.  Each level changes only the kept classes: D_{k+1} is D_k minus
+    e on Z_{k+1}, subtracted in place on the frontier's class indices, which
+    the level finds once and then gathers over.  W_k >= k e
     and W_k <= W_0 + k e, as W_0[r] + k e lies in kM, so D_k lies in
     [0, max(W_0)] and a row entry minus a generator in
     [-max(G), max(W_0)]; the minimal generators other than e are Apery
@@ -123,53 +123,39 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     dtype :func:`core._narrow` picks for that range; class indices stay
     int64.  Both yielded arrays are the walk's own buffers, overwritten at
     the next level, so memory stays O(e) for any R.  Besides S.w the walk
-    holds [D, D], the row it subtracts, the mask Z_k, one frontier of int64
-    class indices, released before the next one is built, and the gather
-    blocks: 33 e bytes in int64 plus the blocks, whatever the level.
+    holds D, the mask Z_k, one frontier of int64 class indices, released
+    before the next one is built, the frontier's entries of D while they are
+    lowered, and the gather blocks: 25 e bytes in int64 plus the blocks,
+    whatever the level.
     """
     e, top = S.multiplicity, S.min_gens[-1]
     dt = _narrow(-top, int(S.w.max()))
     gens = np.array(S.min_gens[1:], dtype=np.int64)
     steps, shifts = gens % e, gens.astype(dt)
-    # one set of flat block buffers for the whole walk, viewed as (rows, |A|) at each level:
-    # fresh block-sized temporaries go back to the OS and fault in again on every block.
-    # A block holds at most min(e, _GATHER_CELLS // |A|) rows, and |A| <= nu - 1.
-    cells = min(e * len(gens), max(_GATHER_CELLS, len(gens)))
-    target = np.empty(cells, dtype=np.int64)
-    reached = np.empty(cells, dtype=dt)
-    stays = np.empty(cells, dtype=bool)
-    twice = np.concatenate([S.w, S.w], dtype=dt)
+    D, inZ = S.w.astype(dt), np.ones(e, dtype=bool)
     # e as a scalar of the walk's dtype: a Python int doubles the fixed cost of the ufunc call
-    D, drop, e_dt = twice[:e], np.empty(e, dtype=dt), dt(e)
-    inZ = np.ones(e, dtype=bool)
+    e_dt = dt(e)
     yield D, inZ
     inZ[0] = False
     for level in count(1):
-        # a where= mask would loop once per run of kept classes
-        D -= np.multiply(inZ, e_dt, out=drop)
-        twice[e:] = D
+        frontier = inZ.nonzero()[0]
+        D[frontier] -= e_dt
         yield D, inZ
         if level == 1 and e > 1:  # Z_1 is empty only for e = 1, where R = 1
             inZ[_rising_at_two(S)] = False
             continue
-        frontier = inZ.nonzero()[0]
         if not len(frontier):
             return
         inZ.fill(False)
-        rows = min(len(frontier), max(1, _GATHER_CELLS // len(shifts)))
-        size = rows * len(shifts)
-        index = target[:size].reshape(rows, -1)
-        sums = reached[:size].reshape(rows, -1)
-        hits = stays[:size].reshape(rows, -1)
+        rows = max(1, _GATHER_CELLS // len(shifts))
         for lo in range(0, len(frontier), rows):
             s = frontier[lo : lo + rows, None]
-            r = np.add(s, steps, out=index[: len(s)])
-            # r < 2e, so clipping never moves an index; it spares take() a buffer
-            gap = np.take(twice, r, out=sums[: len(s)], mode="clip")
+            r = s + steps
+            # r < 2e, so wrapping names the class r mod e, for take() and put() alike
+            gap = np.take(D, r, mode="wrap")
             gap -= shifts
-            hit = np.equal(gap, D[s], out=hits[: len(s)])
-            # r < 2e, so wrapping names the class r mod e; a class may be kept from several blocks
-            inZ.put(r[hit], True, mode="wrap")
+            hit = gap == D[s]
+            inZ.put(r[hit], True, mode="wrap")  # a class may be kept from several blocks
             seen = np.logical_or.reduce(hit, axis=0)
             active = seen if lo == 0 else active | seen
         del frontier, s  # the last block's view s would keep this frontier alive through the next
@@ -262,7 +248,8 @@ def hilbert_by_set_construction(S: NumericalSemigroup, h_max: int) -> list[int]:
     int64 once the values grow large, but each level adds e H(k) <= e**2 <
     2**63 to it, so the difference of two sums taken mod 2**64 is exact.
     """
-    sums = [int(S.w.sum()), *map(int, map(np.sum, _min_plus_steps(S.w, S.min_gens, h_max + 1)))]
+    rows = _min_plus_steps(S.w, S.min_gens, h_max + 1)
+    sums = [int(S.w.sum()), *map(int, map(np.ndarray.sum, rows))]
     return [(nxt - row) % (1 << 64) // S.multiplicity for row, nxt in zip(sums, sums[1:])]
 
 
@@ -393,7 +380,8 @@ def apery_table(S: NumericalSemigroup) -> AperyTable:
     An Apery element a = W_0[r] lies in kM exactly when W_k[r] = W_0[r].
     """
     apery_orders = _walk(S, None)[1]
-    orders = dict(sorted(zip(S.w.tolist(), apery_orders.tolist())))
+    ascending = S.w.argsort()  # the Apery elements are distinct, one a class
+    orders = dict(zip(S.w[ascending].tolist(), apery_orders[ascending].tolist()))
     elements = tuple(orders)
     strata = _grouped(apery_orders[1:], S.w[1:])  # class 0 holds 0, of order 0
 

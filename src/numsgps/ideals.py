@@ -7,8 +7,10 @@ S (see :mod:`numsgps.core`): ``w[r]`` is the smallest member of E in the
 class r mod e.  Equality is equality of vectors; sums, shifts, minimal
 generators and the canonical ideal are vector operations, and the listing
 ``small`` plus ``threshold`` (members below the first integer from which on
-everything belongs to E) is derived on demand.  The pseudo-Frobenius numbers
-are read off the minimal generators of the canonical ideal K(S).
+everything belongs to E) is derived on demand.  K(S) + M is gathered once
+per semigroup: the pseudo-Frobenius numbers are read off it, through the
+minimal generators of the canonical ideal K(S), and almost symmetry by its
+definition, K(S) + M = M, reads K(S) + M back off those.
 """
 
 from __future__ import annotations
@@ -181,8 +183,9 @@ def pseudo_frobenius(S: NumericalSemigroup) -> tuple[int, ...]:
 
     x is a PF number exactly when y = f - x is a minimal generator of K(S):
     f - y outside S puts y in K, and f - y + M inside S keeps y out of K + M.
-    So PF(S) = f - mingens(K(S)); for the naturals K = S and PF = {-1}.
-    Certified against Nari's inequality 2g >= F + t.
+    So PF(S) = f - mingens(K(S)), read off the one gather of K(S) + M per
+    semigroup; for the naturals K = S and PF = {-1}.  Certified against
+    Nari's inequality 2g >= F + t.
     """
     f = S.frobenius
     pf = tuple(f - y for y in reversed(standard_canonical_ideal(S).minimal_generators()))
@@ -248,16 +251,21 @@ def nari_partition(S: NumericalSemigroup) -> NariPartition:
 def is_almost_symmetric(S: NumericalSemigroup, method: str = "definition") -> bool:
     """Almost symmetry, by definition (M + K(S) = M) or by Nari's criterion.
 
-    M = G + S for the minimal generators G of S, so G generates M as an ideal
-    and M + K(S) is min+(K(S), G), with no gather for M's generators.  The
-    Nari route demands alpha_i + alpha_{m-i} = alpha_m on the a-part and
+    The definition route reads K(S) + M off the cached PF(S), with no gather
+    of its own.  In each class r, K + M holds K's least member w[r] unless
+    w[r] is a minimal generator of K, that is f - x for some x in PF(S);
+    then it holds w[r] + e, which lies in K + e.  It compares that with
+    :func:`maximal_ideal`.
+    The Nari route demands alpha_i + alpha_{m-i} = alpha_m on the a-part and
     beta_j + beta_{t-j} = alpha_m + e on the b-part of the Apery partition,
     each as one comparison of the part with its reverse.  Either answer is
     certified against Nari's equivalent condition 2g = F + t.
     """
     if method == "definition":
-        almost = np.array_equal(_min_plus(standard_canonical_ideal(S).w, S.min_gens),
-                                maximal_ideal(S).w)
+        generators = S.frobenius - np.array(pseudo_frobenius(S), dtype=np.int64)
+        plus_maximal = standard_canonical_ideal(S).w.copy()
+        plus_maximal[generators % S.multiplicity] += S.multiplicity
+        almost = np.array_equal(plus_maximal, maximal_ideal(S).w)
     elif method == "nari":
         part = nari_partition(S)
         a, b = np.array(part.a), np.array(part.b, dtype=np.int64)

@@ -6,6 +6,7 @@ import pytest
 import numsgps.cli
 import numsgps.construction
 import numsgps.core
+import numsgps.hilbert
 from numsgps import (
     EllTooSmall,
     ExcludedEll,
@@ -13,7 +14,9 @@ from numsgps import (
     NumericalSemigroup,
     construct_asd,
     gcd_validity,
+    hilbert_through_stabilization,
     is_excluded_level,
+    pseudo_frobenius,
     verify_construction,
 )
 
@@ -222,3 +225,46 @@ def test_construct_verify_builds_once(monkeypatch, capsys):
     assert numsgps.cli.main(["construct", "--ell", "6", "--verify"]) == 0
     assert "certificate: all claims pass" in capsys.readouterr().out
     assert builds == [6]
+
+
+def _count_steps(monkeypatch) -> list[int]:
+    """Wrap ``_min_plus_steps`` in ``core`` and ``hilbert``; one entry a call, the steps it asks."""
+    steps = []
+    kernel = numsgps.core._min_plus_steps
+
+    def counted(v, shifts, n):
+        steps.append(n)
+        return kernel(v, shifts, n)
+
+    for module in (numsgps.core, numsgps.hilbert):
+        monkeypatch.setattr(module, "_min_plus_steps", counted)
+    return steps
+
+
+def _clear_caches():
+    numsgps.hilbert._walk.cache_clear()
+    pseudo_frobenius.cache_clear()
+
+
+@pytest.mark.parametrize("ell", [4, 5, 10])
+def test_construction_check_gathers_each_row_once(monkeypatch, ell):
+    # the oracle's stable_from + 1 rows, the build certificate, K(S) + M (read by PF and by
+    # the definition of almost symmetry alike) and apery_table's gathered Ap(2M)
+    _clear_caches()
+    steps = _count_steps(monkeypatch)
+    assert verify_construction(ell).all_passed
+    total = sum(steps)
+    monkeypatch.undo()
+    stable_from = hilbert_through_stabilization(construct_asd(ell).semigroup).stable_from
+    assert total == stable_from + 4
+    _clear_caches()
+
+
+def test_info_gathers_one_row(monkeypatch, capsys):
+    # PF and both symmetry predicates read the one gather of K(S) + M
+    _clear_caches()
+    steps = _count_steps(monkeypatch)
+    assert numsgps.cli.main(["info", "4,5,11"]) == 0
+    assert "almost symmetric:    False" in capsys.readouterr().out
+    assert steps == [1]
+    _clear_caches()

@@ -68,6 +68,41 @@ def test_pf_definition_scan(gens):
     assert 2 * S.genus >= S.frobenius + len(pf)  # Nari's inequality
 
 
+def _brute_pf_and_almost(gens) -> tuple[tuple[int, ...], bool]:
+    """PF(S) and M + K(S) = M from their definitions, on the members ``brute_members`` lists.
+
+    x + M lies in S exactly when x + g does for every generator g, which needs x >= -e.
+    K(S) = {x : F - x not in S} holds every x > F, and k + g then lies in M, so
+    M + K(S) = M, the inclusion M in M + K(S) coming from 0 in K, needs k + g in S
+    only for the k in K up to F.
+    """
+    e, top = min(gens), max(gens)
+    members = brute_members(gens, (e + 2) * top)  # F < (e - 1) top, so F + g is covered
+    f = max((x for x in range(e * top) if x not in members), default=-1)
+    pf = tuple(x for x in range(-e, f + 1)
+               if x not in members and all(x + g in members for g in gens))
+    below_f = [k for k in range(f + 1) if f - k not in members]
+    return pf, all(k + g in members for k in below_f for g in gens)
+
+
+@given(st.builds(lambda seed, mult: random_semigroup(random.Random(seed), max_mult=mult),
+                 st.integers(min_value=0, max_value=2**32), st.sampled_from([5, 9, 16])))
+@example(NumericalSemigroup.from_generators([1]))  # PF = {-1}: K = S = the naturals
+@example(NumericalSemigroup.from_generators([4, 5, 11]))  # not almost symmetric
+@settings(max_examples=60, deadline=None)
+def test_pf_and_almost_symmetry_match_brute_force(S):
+    # each route runs on empty caches: the definition route and the Nari route each
+    # start from the one gather of K(S) + M, which PF reads as well
+    pf, almost = _brute_pf_and_almost(S.min_gens)
+    for method in ("definition", "nari"):
+        _walk.cache_clear()
+        pseudo_frobenius.cache_clear()
+        assert is_almost_symmetric(S, method) == almost
+    pseudo_frobenius.cache_clear()
+    assert pseudo_frobenius(S) == pf
+    pseudo_frobenius.cache_clear()
+
+
 def test_pf_certificate_fires_under_python_O():
     # every Apery element taken for a generator of K(<3,5>) gives t = 3 > 2g - F = 1
     proc = _exit_under_python_O(

@@ -261,3 +261,37 @@ def test_narrow_dtype_scan_catches_a_leftover():
     }
     assert _narrow_dtypes_named(trees) == ["core.py:4 int32", "hilbert.py:1 int8",
                                            "hilbert.py:3 int16"]
+
+
+def _iinfo_calls_in_function_bodies(trees: dict[str, ast.Module]) -> list[str]:
+    """Each ``iinfo`` call in the body of a function or lambda.
+
+    np.iinfo builds an object on every call, about 0.4 us, so dtype limits are
+    spelled once, at import time or as literals; a default argument is
+    evaluated once and does not count.
+    """
+    found = set()
+    for module, tree in trees.items():
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                body = function.body if isinstance(function.body, list) else [function.body]
+                found |= {f"{module}:{node.lineno}" for part in body for node in ast.walk(part)
+                          if isinstance(node, ast.Call) and _dtype_name(node.func) == "iinfo"}
+    return sorted(found)
+
+
+def test_iinfo_is_never_called_inside_a_function():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert _iinfo_calls_in_function_bodies(trees) == []
+
+
+def test_iinfo_scan_catches_a_leftover():
+    trees = {
+        "core.py": ast.parse("TOP = np.iinfo(np.int64).max\n"
+                             "def _narrow(lo, hi, top=np.iinfo(np.int64).max):\n"
+                             "    def inner():\n        return np.iinfo(dt).max\n"
+                             "    return hi < top\n"),
+        "hilbert.py": ast.parse("from numpy import iinfo\nclass W:\n    def f(self):\n"
+                                "        return iinfo(self.dt)\nlimit = lambda dt: iinfo(dt).min\n"),
+    }
+    assert _iinfo_calls_in_function_bodies(trees) == ["core.py:4", "hilbert.py:4", "hilbert.py:5"]
