@@ -21,6 +21,10 @@ only over the frontier of classes that stayed put at the last level, times
 the generators that kept some class there.  A semigroup given in closed
 form, its Apery vector and generators read off a formula rather than found
 by the round robin, is checked by one gather in :func:`_certify_generators`.
+Past _GATHER_CELLS classes a min-plus step reads each shifted window as two
+slices of the last row, with no doubled copy of it, and the round robin's
+:func:`_relax` indexes a generator prime to e, whose residues form one
+cycle, as a single row.
 
 Storage stays int64.  The two vector kernels, the min-plus steps and the
 rows, compute in the narrowest of int16, int32 and int64 that an a-priori
@@ -120,15 +124,19 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
     under +S, v_j is the Apery vector of X plus j shifts.  With s_lo and s_hi
     the least and largest shift, v_j lies in [min(v) + j s_lo, max(v) + j s_lo]
     and the sums of step j in [min(v) + j s_lo, max(v) + (j - 1) s_lo + s_hi],
-    so one dtype fits every step (see :func:`_narrow`).  The windows are built
-    once and each step is written back into them; each is yielded as a fresh
-    int64 vector, so memory stays O(e) for any number of steps.  A block
-    gathers _GATHER_CELLS // e windows and reduces them, its window starts
-    and shifts sliced once for all steps; once e passes
-    _GATHER_CELLS a block is one window, which is shifted into a spare row
-    with no gathered copy and no reduction.  Between steps the kernel holds
-    only the windows [v_j, v_j] and the spare row: it drops v_j once written
-    back, so for a caller that keeps no yielded vector a step adds one row.
+    so one dtype fits every step (see :func:`_narrow`).  Each step is yielded
+    as a fresh int64 vector, so memory stays O(e) for any number of steps.  A
+    block gathers _GATHER_CELLS // e windows of [v_j, v_j] and reduces them,
+    its window starts and shifts sliced once for all steps; the windows are
+    built once and each step is written back into them.  Once e passes
+    _GATHER_CELLS a block is one window, read as two slices of v_j straight
+    into a row with no [v_j, v_j] copy and no reduction; the first window of
+    a step gets a row of its own, which becomes v_{j+1}, and the later ones
+    share a spare row.  Between steps that branch holds only v_j and the
+    spare row.  In int64 the yielded row is v_{j+1} itself and the
+    consumer's to write into, so the kernel reads on from a copy, taken once
+    it has dropped v_j and only while steps remain.  So for a caller that
+    keeps no yielded vector a step peaks at three rows, not four.
     """
     e = len(v)
     shifts = np.asarray(shifts, dtype=np.int64)
@@ -140,35 +148,47 @@ def _min_plus_steps(v: np.ndarray, shifts, steps: int) -> Iterator[np.ndarray]:
     dt = _narrow(min(v_lo, s_lo, v_lo + s_lo, v_lo + steps * s_lo),
                  max(v_hi, s_hi, v_hi + max(0, (steps - 1) * s_lo) + s_hi))
     v, shifts = v.astype(dt, copy=False), shifts.astype(dt, copy=False)
-    # row j of this view is the window at j (sliding_window_view adds ~20 us per call)
-    twice = np.concatenate([v, v])
-    windows = np.ndarray((e + 1, e), dt, buffer=twice, strides=2 * twice.strides)
-    per_block = max(1, _GATHER_CELLS // e)
-    spare = np.empty(e, dtype=dt)
-    # a one-window block reads its start and shift as it comes: nu pairs of slices,
-    # about 300 bytes each, would outweigh the rows
-    blocks = [(starts[lo : lo + per_block], shifts[lo : lo + per_block, None])
-              for lo in range(0, len(shifts), per_block)] if per_block > 1 else None
-    for _ in range(steps):
+    per_block = _GATHER_CELLS // e
+    if per_block > 1:
+        # row j of this view is the window at j (sliding_window_view adds ~20 us per call)
+        twice = np.concatenate([v, v])
+        windows = np.ndarray((e + 1, e), dt, buffer=twice, strides=2 * twice.strides)
+        blocks = [(starts[lo : lo + per_block], shifts[lo : lo + per_block, None])
+                  for lo in range(0, len(shifts), per_block)]
+    else:
+        # a one-window block reads its start and shift as it comes: nu pairs of slices,
+        # about 300 bytes each, would outweigh the rows
+        blocks = None
+        spare = np.empty(e, dtype=dt)
+    for step in range(steps):
         # a step's row is its first block's minimum, lowered in place by each later block
         for i, (start, shift) in enumerate(blocks or zip(starts, shifts)):
-            if per_block > 1:
+            if blocks:
                 block = windows[start]
                 block += shift  # in place: one temporary, not two
                 least = np.minimum.reduce(block, axis=0)
                 # dropped before the next gather: with two blocks alive the allocator gave
                 # one back to the OS at every other block and faulted it in again
                 del block
-            else:  # e > _GATHER_CELLS: one window, shifted into a spare row with no copy,
-                # but the first gets a row of its own, as the next window overwrites the spare
-                least = np.add(windows[start], shift, out=spare if i else None)
+            else:  # the window at start is v[start:] then v[:start]
+                least = spare if i else np.empty(e, dtype=dt)
+                np.add(v[start:], shift, out=least[: e - start])
+                np.add(v[:start], shift, out=least[e - start :])
             if i:
                 np.minimum(out, least, out=out)
             else:
                 out = least
-        yield out.astype(np.int64, copy=False)
-        twice[:e] = twice[e:] = out
-        del out, least  # so the next step's first window takes this row's memory
+        yielded = out.astype(np.int64, copy=False)
+        # in int64 the yielded vector is out itself, which the consumer may write into, so
+        # the next step's input is taken from out before the yield
+        if step + 1 < steps:
+            if blocks:
+                twice[:e] = twice[e:] = out
+            else:
+                del v  # so that the copy below may take its memory
+                v = out.copy() if yielded is out else out
+        yield yielded
+        del out, least, yielded  # so the next step's first row takes this row's memory
 
 
 def _min_plus(v: np.ndarray, shifts) -> np.ndarray:
@@ -213,13 +233,16 @@ def _relax(w: np.ndarray, g: int) -> None:
     if g % e == 0:
         return
     length = e // math.gcd(g, e)
-    # row c < e / length walks c, c + g, c + 2g, ... (mod e) once around its cycle
+    # row c < e / length walks c, c + g, c + 2g, ... (mod e) once around its cycle; with
+    # gcd(g, e) = 1 the one cycle is a single row, with no offsets column to add
     steps = np.arange(length, dtype=np.int64) * g
-    index = steps % e + np.arange(e // length, dtype=np.int64)[:, None]
+    index = steps % e
+    if length < e:
+        index = index + np.arange(e // length, dtype=np.int64)[:, None]
     best = w[index]
     best -= steps
-    np.minimum.accumulate(best, axis=1, out=best)
-    np.minimum(best, best[:, -1:] + length * g, out=best)
+    np.minimum.accumulate(best, axis=-1, out=best)
+    np.minimum(best, best[..., -1:] + length * g, out=best)
     best += steps
     w[index] = best
 

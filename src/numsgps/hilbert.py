@@ -243,10 +243,12 @@ def hilbert_by_set_construction(S: NumericalSemigroup, h_max: int) -> list[int]:
 
     Only the row sums are kept, one Python int a level: each row is summed as
     the kernel yields it and dropped before the next is built, so besides
-    S.w the oracle holds the kernel's windows, its spare row and one row, at
-    most 32 e bytes plus one gather block.  A row sum wraps mod 2**64 in
-    int64 once the values grow large, but each level adds e H(k) <= e**2 <
-    2**63 to it, so the difference of two sums taken mod 2**64 is exact.
+    S.w the oracle holds the kernel's windows [W_k, W_k] and one row, at
+    most 24 e bytes plus one gather block, or past _GATHER_CELLS classes
+    W_k, the kernel's spare row and one row, 24 e bytes.  A row sum wraps
+    mod 2**64 in int64 once the values grow large, but each level adds
+    e H(k) <= e**2 < 2**63 to it, so the difference of two sums taken
+    mod 2**64 is exact.
     """
     rows = _min_plus_steps(S.w, S.min_gens, h_max + 1)
     sums = [int(S.w.sum()), *map(int, map(np.ndarray.sum, rows))]

@@ -10,7 +10,9 @@ generators and the canonical ideal are vector operations, and the listing
 everything belongs to E) is derived on demand.  K(S) + M is gathered once
 per semigroup: the pseudo-Frobenius numbers are read off it, through the
 minimal generators of the canonical ideal K(S), and almost symmetry by its
-definition, K(S) + M = M, reads K(S) + M back off those.
+definition, K(S) + M = M, reads K(S) + M back off those.  K(S) itself is a
+reversed rotation of S.w, built from two slices; symmetry compares it with
+S.w and reads no PF.
 """
 
 from __future__ import annotations
@@ -201,10 +203,14 @@ def standard_canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """K(S) = {x >= 0 : f(S) - x not in S}; sits between S and the naturals.
 
     x in the class r lies in K exactly when f - x < w[(f - r) mod e], which
-    gives the Apery vector f - w[(f - r) mod e] + e.
+    gives the Apery vector f + e - w[(f - r) mod e]: with a = f mod e, the
+    reversed w[a], ..., w[0] then w[e - 1], ..., w[a + 1], two slices taken
+    from f + e in place.
     """
-    f, e = S.frobenius, S.multiplicity
-    return RelativeIdeal._of(S, f + e - S.w[(f - np.arange(e)) % e])
+    f, e, w = S.frobenius, S.multiplicity, S.w
+    a = f % e
+    k = np.concatenate((w[a::-1], w[:a:-1]))
+    return RelativeIdeal._of(S, np.subtract(f + e, k, out=k))
 
 
 def is_canonical_ideal(E: RelativeIdeal) -> bool:
@@ -215,7 +221,7 @@ def is_canonical_ideal(E: RelativeIdeal) -> bool:
 
 def is_symmetric(S: NumericalSemigroup) -> bool:
     """K(S) = S; checked against Selmer's equivalent condition 2g = F + 1."""
-    sym = standard_canonical_ideal(S) == semigroup_as_ideal(S)
+    sym = np.array_equal(standard_canonical_ideal(S).w, S.w)
     _certify(sym == (2 * S.genus == S.frobenius + 1), "K(S) = S disagrees with Selmer's 2g = F + 1")
     return sym
 

@@ -185,6 +185,15 @@ def test_info_at_the_multiplicity_limit_in_bounded_memory():
     assert "type:                1" in lines
 
 
+def test_info_at_the_multiplicity_limit_under_704_mib():
+    # e = 2**24 - 3: the round robin and PF each peak at 32 bytes a class, S.w's 8 included;
+    # the interpreter with numpy takes about 110 MiB of address space
+    proc = run_capped_cli(["info", "16777213,16777215"], cap=704 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "symmetric:           True" in proc.stdout.splitlines()
+
+
 def test_duplicate_hmax_zero_exit_2(capsys):
     # --hmax 0 is a given h_max, not "through stabilization"
     code, out, err = run(capsys, "duplicate", "4,5", "--ideal", "maximal", "--b", "5", "--hmax", "0")

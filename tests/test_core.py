@@ -186,6 +186,9 @@ def _relax_cases(draw):
 @example(([0, 5, 9, 2, _UNREACHED, 7], 4))  # gcd(g, e) = 2: two cycles of three
 @example(([9, 0, 4, 7, 1, 8, 3, 6], 14))  # g > e and gcd 2; the minima sit mid-cycle
 @example(([3, _UNREACHED, 1], 6))  # a multiple of e changes nothing
+@example(([4, 0, 9, _UNREACHED, 1, 7], 5))  # gcd(g, e) = 1: one cycle, one row of the index
+@example(([8, 2, 0, 6, 1, 3, _UNREACHED], 10))  # g > e and gcd 1; the minimum sits mid-cycle
+@example(([0, 8, 3, 5, 2, _UNREACHED, 7, 1, 4], 15))  # gcd(g, e) = 3: three cycles of three
 @example(([_UNREACHED, _UNREACHED, _UNREACHED, _UNREACHED, 0], 2))  # c_0, c_1 only by the wrap
 @example(([_UNREACHED] * 3, 1))  # nothing reached stays unreached
 @settings(max_examples=300, deadline=None)
@@ -327,6 +330,33 @@ def test_min_plus_steps_past_the_gather_block_keep_the_first_window(rng):
     got = list(_min_plus_steps(v, shifts, 3))
     assert all(np.array_equal(a, b) for a, b in zip(got, want[1:], strict=True))
     assert np.array_equal(_min_plus(v, shifts), want[1])
+
+
+@pytest.mark.parametrize("cells", [4, 1 << 16])
+@pytest.mark.parametrize("scale, dtype", [(1, np.int16), (10**5, np.int32), (10**12, np.int64)])
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_min_plus_steps_match_brute_force_in_each_branch_and_dtype(rng, monkeypatch, cells,
+                                                                   scale, dtype, overwrite):
+    # cells 4 < e: the one-window branch reads each window as two slices of v_j; 2**16: the
+    # blocked branch.  A consumer may write into each yielded vector before advancing, and
+    # in int64 that vector is the kernel's own row
+    monkeypatch.setattr(numsgps.core, "_GATHER_CELLS", cells)
+    chosen = record_narrow(monkeypatch, numsgps.core)
+    for _ in range(20):
+        e = rng.randint(5, 30)
+        v = [rng.randint(-50, 50) * scale for _ in range(e)]
+        shifts = [s * scale for s in rng.sample(range(-20, 80), rng.randint(1, 6))]
+        shifts.append(rng.choice([0, e, -2 * e]) * scale)  # a window that starts at e
+        want = [v]
+        for _ in range(3):
+            want.append([min(want[-1][(r - s) % e] + s for s in shifts) for r in range(e)])
+        got = []
+        for row in _min_plus_steps(np.array(v, dtype=np.int64), shifts, 3):
+            got.append(row.tolist())
+            if overwrite:
+                row[:] = -(1 << 62)
+        assert got == want[1:]
+    assert set(chosen) == {dtype}
 
 
 def test_min_plus_indices_stay_int64_when_e_passes_the_int16_range(monkeypatch):

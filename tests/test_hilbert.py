@@ -581,8 +581,9 @@ def _peak_per_class(S, call) -> float:
 
 @pytest.mark.parametrize("h_max", [2, 3])
 def test_hilbert_path_peak_bytes_per_class(h_max):
-    # on top of S.w: the walk holds [D, D], the subtracted row, the mask and one frontier
-    # (33 bytes a class in int64) and the oracle the kernel's windows, spare row and one row (32)
+    # on top of S.w: the walk holds D, the mask, one frontier and the lowered entries
+    # (25 bytes a class in int64) and the oracle the kernel's copy of v_j, its spare row and
+    # one row (24)
     S = NumericalSemigroup.from_generators([2**20 - 3, 2**20 - 1])
     assert _peak_per_class(S, lambda: hilbert_function(S, h_max)) <= 36
     assert _peak_per_class(S, lambda: hilbert_by_set_construction(S, h_max)) <= 33

@@ -130,6 +130,43 @@ def test_canonical_ideal_generators():
         assert E.is_proper()
 
 
+@given(st.builds(lambda seed, mult: random_semigroup(random.Random(seed), max_mult=mult),
+                 st.integers(min_value=0, max_value=2**32), st.sampled_from([5, 9, 16])))
+@example(NumericalSemigroup.from_generators([1]))  # e = 1, F = -1: K is the naturals
+@example(NumericalSemigroup.from_generators([3, 5]))  # F = 7 = 1 mod e: the second slice is w[2]
+@example(NumericalSemigroup.from_generators([3, 4]))  # F = 5 = -1 mod e: the second slice is empty
+@settings(max_examples=80, deadline=None)
+def test_canonical_ideal_matches_its_definition(S):
+    # K(S) = {x : F - x not in S}: the least such x in each class, off the brute members
+    e, f = S.multiplicity, S.frobenius
+    members = brute_members(S.min_gens, f + 1)
+    want = [min(x for x in range(r, f + 2 * e, e) if f - x not in members) for r in range(e)]
+    assert standard_canonical_ideal(S).w.tolist() == want
+
+
+def _peak_per_class(S, call) -> float:
+    """tracemalloc peak of ``call()`` in bytes per class of S, with no PF cached."""
+    pseudo_frobenius.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pseudo_frobenius.cache_clear()
+    return peak / S.multiplicity
+
+
+@pytest.mark.parametrize("call, budget", [
+    (standard_canonical_ideal, 9),  # K(S) itself, built from two slices of S.w
+    (is_symmetric, 10),  # K(S) and the mask of its comparison with S.w
+    (pseudo_frobenius, 26),  # K(S), K(S) + M and the min-plus kernel's spare row
+])
+def test_canonical_route_peak_bytes_per_class(call, budget):
+    S = NumericalSemigroup.from_generators([2**20 - 3, 2**20 - 1])
+    assert _peak_per_class(S, lambda: call(S)) <= budget
+
+
 def test_ideal_minimal_generators_basics():
     assert maximal_ideal(S23).minimal_generators() == (2, 3)
     assert semigroup_as_ideal(S23).minimal_generators() == (0,)
