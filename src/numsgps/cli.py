@@ -257,14 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="basic invariants of a semigroup")
     p.add_argument("gens", help="generators '4,6,7', JSON '[4,6,7]', or '@fixture'")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("hilbert", help="Hilbert function, decrease levels, layer sets")
     p.add_argument("gens")
     p.add_argument("--hmax", type=int, default=10)
     p.add_argument("--layers", action="store_true", help="include C_k / D_k layer sets")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("duplicate", help="numerical duplication along an ideal")
@@ -277,27 +275,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predict", action="store_true",
                    help="also print the type-based predicted Hilbert function")
     p.add_argument("--emit-generators", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_duplicate)
 
     p = sub.add_parser("construct", help="parametric almost symmetric semigroup with a drop")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="run the full claim certificate")
     p.add_argument("--emit-generators", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("witness", help="symmetric semigroup with a prescribed Hilbert drop")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--drop", type=int, required=True)
     p.add_argument("--emit-generators", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("check-fixtures", help="re-verify every stored fixture")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check_fixtures)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

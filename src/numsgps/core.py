@@ -362,7 +362,9 @@ class NumericalSemigroup:
     __contains__ = contains
 
     def members_up_to(self, bound: int) -> np.ndarray:
-        """Boolean membership table over [0, bound)."""
+        """Boolean membership table over [0, bound); SizeLimitError past LISTING_LIMIT."""
+        if bound > LISTING_LIMIT:
+            raise SizeLimitError(f"member table of {bound} cells exceeds the supported size 2**22")
         return _members(self.w, np.arange(bound, dtype=np.int64))
 
     def elements_up_to(self, bound: int) -> list[int]:

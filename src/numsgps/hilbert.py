@@ -12,8 +12,12 @@ the generators still active.  W_2 needs none: a nonzero Apery element lies
 in 2M exactly when it is not a minimal generator.  The walk keeps the
 offset row W_k - k e in place, which changes only on the classes that stay.
 The rows give H(k) = sum(W_{k+1} - W_k) / e, which is e minus the size of
-the next frontier, the orders ord(s) = #{k >= 1 : s >= W_k[s mod e]} and
-the Apery strata.
+the next frontier, and the Apery strata.  Every element order is read off
+where the classes rise: a rise of class r at level k, r outside Z_k, ends
+the element W_{k-1}[r], of order k - 1, and these are all the members
+below W_K[r] for the last level K read; a member x >= W_K[r] has order
+(x - D_K[r]) // e.  ``order_table``, ``element_order`` and ``layer_sets``
+all read this one identity.
 
 Stabilization is certified, not guessed: the rows stop at the reduction
 index R, the first k >= 1 with W_k = W_{k-1} + e, i.e. kM = (k-1)M + e.
@@ -188,44 +192,53 @@ def _walk(S: NumericalSemigroup, levels: int | None) -> tuple[tuple[int, ...], n
     return tuple(counts), apery_orders
 
 
-def _orders(S: NumericalSemigroup, s: np.ndarray) -> np.ndarray:
-    """ord(s) = #{k >= 1 : s >= W_k[s mod e]} elementwise; -1 off S.
-
-    On the offset rows the test reads s - k e >= D_k[s mod e].  W_k >= k e,
-    so the walk stops at level max(s) // e, or at W_R if that comes first:
-    past W_R the offset row stays D_R, so the levels k > R add
-    max(0, (s - R e - D_R[s mod e]) // e), which is 0 when the walk stopped
-    first.
-    """
-    e = S.multiplicity
-    r = s % e
-    orders = np.where(s >= S.w[r], 0, -1)
-    t, D = s.copy(), S.w  # t = s - k e at level k
-    for D, _ in islice(_levels(S), 1, int(s.max(initial=0)) // e + 1):
-        t -= e
-        orders += t >= D[r]
-    return orders + np.maximum((t - D[r]) // e, 0)
-
-
 def order_table(S: NumericalSemigroup, bound: int) -> np.ndarray:
-    """ord(s) for every s in [0, bound); -1 marks non-members.  SizeLimitError past LISTING_LIMIT."""
+    """ord(s) for every s in [0, bound); -1 marks non-members.  SizeLimitError past LISTING_LIMIT.
+
+    Reads W_0 through W_K, K = min(R, (bound - 1) // e), as W_k >= k e (W_0
+    alone if bound <= 0).  A rise of class r at level k ends the element
+    W_{k-1}[r] = D_k[r] + (k - 1) e of order k - 1, with D widened to int64
+    first as the walk may run in int16; these are the members below W_K[r].
+    Every member x >= W_K[r] has order (x - D_K[r]) // e, and that quotient
+    is at least K exactly from W_K[r] on: past W_R each e adds one order,
+    and short of it x < (K + 1) e <= W_{K+1}[r] keeps x out of (K + 1)M.  So
+    each level scatters its O(e) rises, and one pass over [0, bound) reads
+    the rest.
+    """
     if bound > LISTING_LIMIT:
         raise SizeLimitError(f"order table of {bound} elements exceeds the supported size 2**22")
-    return _orders(S, np.arange(bound, dtype=np.int64))
+    e, orders = S.multiplicity, np.full(max(bound, 0), -1, dtype=np.int64)
+    for k, (D, inZ) in enumerate(islice(_levels(S), max(1, (bound - 1) // e + 1))):
+        x = D[~inZ].astype(np.int64) + (k - 1) * e
+        orders[x[x < bound]] = k - 1
+    tail = np.arange(len(orders), dtype=np.int64)
+    tail = (tail - D[tail % e]) // e  # at least K exactly from W_K[r] on
+    return np.where(tail >= k, tail, orders)
 
 
 def element_order(S: NumericalSemigroup, s: int) -> int:
     """Largest number of nonzero summands expressing s; ord(0) = 0.
 
-    A member s >= 2**62 steps down by q e into [2**62 - e, 2**62), where int64
-    has room, and ord(s) = ord(s - q e) + q: W_{R-1} <= W_0 + (R-1) e is below
-    2**59 + 2**48 under the Apery and multiplicity limits, as R <= e, and past
-    W_{R-1} each e adds one order, since kM = (k-1)M + e for k >= R.
+    The rises of the class r of s, read as in :func:`order_table` through
+    level K = min(R, s // e): s has order k - 1 if r rises at level k with
+    W_{k-1}[r] = s, and (s - D_K[r]) // e if s >= W_K[r]; the row entries are
+    read as Python ints, so no sum wraps in the walk's dtype.  A member
+    s >= 2**62 steps down by q e into [2**62 - e, 2**62), which keeps the
+    level count s // e + 1 a machine-size index, and ord(s) = ord(s - q e) + q:
+    W_{R-1} <= W_0 + (R-1) e is below 2**59 + 2**48 under the Apery and
+    multiplicity limits, as R <= e, and past W_{R-1} each e adds one order,
+    since kM = (k-1)M + e for k >= R.
     """
     if not S.contains(s):
         raise NotMember(f"{s} is not an element of {S!r}")
-    q = max(0, (s - (1 << 62)) // S.multiplicity + 1)
-    return int(_orders(S, np.array([s - q * S.multiplicity], dtype=np.int64))[0]) + q
+    e = S.multiplicity
+    q = max(0, (s - (1 << 62)) // e + 1)
+    s, r = s - q * e, s % e
+    for k, (D, inZ) in enumerate(islice(_levels(S), s // e + 1)):
+        if not inZ[r] and int(D[r]) + (k - 1) * e == s:
+            order = k - 1
+    # s >= W_K[r] = D_K[r] + K e reads the tail; below it, s is the element a rise of r ended
+    return q + ((s - int(D[r])) // e if s >= int(D[r]) + k * e else order)
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,9 @@ class RelativeIdeal:
 
     def __init__(self, ambient: NumericalSemigroup, elements: Iterable[int], threshold: int):
         e = ambient.multiplicity
-        threshold = int(threshold)
-        _check_range(threshold)
-        given = np.fromiter(elements, dtype=np.int64)
+        threshold, *elements = map(int, (threshold, *elements))
+        _check_range(threshold, *elements)
+        given = np.array(elements, dtype=np.int64)
         # with no flag np.unique imports numpy.ma on its first call (about 6 ms)
         small = np.unique(given[given < threshold], return_index=True)[0]
         w = threshold + (np.arange(e) - threshold) % e

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import numsgps.core
 from numsgps import (
-    CertificationError, GcdError, NumericalSemigroup, SemigroupError, SizeLimitError,
+    CertificationError, GcdError, NumericalSemigroup, RelativeIdeal, SemigroupError, SizeLimitError,
     construct_asd, hilbert_function, is_symmetric, layer_sets, order_table, parse_generators,
     pseudo_frobenius, semigroup_as_ideal,
 )
@@ -405,6 +405,10 @@ def test_certification_error_is_typed_and_fires_under_python_O():
     (lambda: construct_asd(2048), "level 2048: the s and r families"),
     (lambda: semigroup_as_ideal(NumericalSemigroup.from_generators([3, 5])).shift(2**60),
      "ideal elements"),
+    (lambda: RelativeIdeal(NumericalSemigroup.from_generators([3, 5]), [2**70], 5),
+     "ideal elements exceed"),
+    (lambda: NumericalSemigroup.from_generators([3, 5]).members_up_to(2**40),
+     "member table of 1099511627776"),
 ])
 def test_size_guards_raise_the_typed_error(call, message):
     # a size guard is a typed domain error that every ValueError handler still catches

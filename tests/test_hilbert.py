@@ -258,6 +258,57 @@ def test_order_table_past_reduction_matches_brute(gens):
     assert all(got[s] == -1 for s in range(bound) if s not in want)
 
 
+@given(st.randoms(use_true_random=False).map(lambda rng: random_semigroup(rng).min_gens))
+@example((1,))  # e = R = 1
+@example((2, 3))
+@example((150, 151))  # an int16 walk of 150 levels; its rises stay below 22500
+@example((184, 187, 431, 521))  # an int16 walk whose rises pass 2**15: a narrow sum would wrap
+@settings(max_examples=40, deadline=None)
+def test_orders_off_the_rises_match_brute(gens):
+    S = NumericalSemigroup.from_generators(gens)
+    e, R = S.multiplicity, hilbert_through_stabilization(S).stable_from + 1
+    past = int(S.w.max()) + (R + 1) * e + 1  # W_R <= W_0 + R e
+    for bound in (-3, 0, 1, (R // 2) * e + 1, past):  # the fourth is no multiple of e > 1
+        got = order_table(S, bound)
+        want = {s: o for s, o in brute_orders(S.min_gens, bound).items() if s < bound}
+        assert got.dtype == np.int64 and len(got) == max(bound, 0)
+        assert {s: int(got[s]) for s in range(len(got)) if got[s] >= 0} == want
+        assert all(got[s] == -1 for s in range(len(got)) if s not in want)
+        # a call walks up to R levels, so past 300 members an even spread of them and the last
+        members = sorted(want)
+        for s in members[:: max(1, len(members) // 300)] + members[-1:]:
+            assert element_order(S, s) == got[s]
+
+
+def test_order_table_level_reads_do_not_grow_with_the_bound(monkeypatch):
+    # each level gathers only its rising classes off the row; the one pass over [0, bound)
+    # reads D_K after the last level, so only the last level's count grows with the bound
+    read = []
+    levels = numsgps.hilbert._levels
+
+    class Row(np.ndarray):
+        def __getitem__(self, index):
+            out = super().__getitem__(index).view(np.ndarray)  # what is read off it is not counted
+            read[-1] += out.size
+            return out
+
+    def recorded(S):
+        for D, inZ in levels(S):
+            read.append(0)
+            yield D.view(Row), inZ
+
+    monkeypatch.setattr(numsgps.hilbert, "_levels", recorded)
+    S = NumericalSemigroup.from_generators([101, 103])
+    counts, tables = [], []
+    for bound in (2**16, 2**17):
+        read.clear()
+        tables.append(order_table(S, bound))
+        counts.append(read.copy())
+    assert counts[0][:-1] == counts[1][:-1] and max(counts[0][:-1]) <= S.multiplicity
+    assert counts[1][-1] - counts[0][-1] == 2**16
+    assert np.array_equal(tables[1][: 2**16], tables[0])
+
+
 def _assert_apery_matches_brute(S):
     e = S.multiplicity
     bound = S.conductor + e
