@@ -151,8 +151,6 @@ def construct_asd(ell: int) -> ConstructionData:
         if p >= 1 and q >= 1:
             r_family[(p, q)] = ell * n1 + e - s
 
-    _certify(len(s_family) == (ell * ell + 3 * ell) // 2, "s family has the wrong size")
-    _certify(len(r_family) == (ell * ell + ell) // 2, "r family has the wrong size")
     _certify(ell * n1 + (ell - 1) * e == (ell + 2) * n2,
              "base generators break ell*n1 + (ell-1)*e = (ell+2)*n2")
 
@@ -173,8 +171,6 @@ def construct_asd(ell: int) -> ConstructionData:
     w = np.zeros(e, dtype=np.int64)
     w[classes] = family
     _certify_generators(gamma, w, where)
-    semigroup = NumericalSemigroup(gamma, w)
-    _certify(t2 in semigroup.min_gens, "t2 is not a minimal generator")
     return ConstructionData(
         ell=ell,
         e=e,
@@ -187,7 +183,7 @@ def construct_asd(ell: int) -> ConstructionData:
         s_family=s_family,
         r_family=r_family,
         gamma=gamma,
-        semigroup=semigroup,
+        semigroup=NumericalSemigroup(gamma, w),
     )
 
 

@@ -30,9 +30,12 @@ The rows are walked on demand and never kept: ``_walk(S, levels)`` reads
 them only as far as a call needs, so ``hilbert_function(S, h_max)`` builds
 at most h_max + 2 rows, and caches just the counts; the full walk, which
 ``apery_table`` and the stabilized Hilbert calls share, also keeps the
-Apery orders, O(e), and is read once per semigroup.  A call that asks a
-new level count walks again from W_0.  ``_from_rows`` reads its values,
-and each caller runs its own certificate.  Public Hilbert calls rebuild the rows by
+Apery orders, O(e), and is read once per semigroup.  ``layer_sets`` walks
+no further than its listings need: it counts the Apery orders through
+k_max in its own pass, the way the full walk does, and takes none from
+``apery_table``.  A call that asks a new level count walks again from W_0.
+``_from_rows`` reads its values, and each caller runs its own
+certificate.  Public Hilbert calls rebuild the rows by
 their definition, W_{k+1} = min+(W_k, G) over all e classes and the minimal
 generators G, from W_0 = Ap(S), and insist that the H(k) read off those
 agree with the walk through ``stable_from`` (h_max without one).  That
@@ -366,6 +369,17 @@ def _grouped(keys: np.ndarray, values: np.ndarray) -> dict[int, tuple[int, ...]]
     return {k: tuple(v.tolist()) for k, v in zip(keys.tolist(), groups)}
 
 
+def _certify_order_one(S: NumericalSemigroup, apery_orders: np.ndarray) -> None:
+    """The Apery elements of order 1, ``apery_orders[r] == 1``, must be those outside Ap(2M).
+
+    The walk reads W_2 off the generators, so it trusts ``S.min_gens`` to be
+    minimal; one gathered Ap(2M) = min+(Ap(M), G) over all e classes does not.
+    """
+    ap2 = _min_plus(_maximal(S.w), S.min_gens)
+    _certify(np.array_equal(apery_orders[1:] == 1, ap2[1:] != S.w[1:]),
+             "order-1 Apery stratum differs from the Apery elements outside the gathered Ap(2M)")
+
+
 @dataclass(frozen=True)
 class AperyTable:
     """The e smallest members per residue class mod e, with their orders."""
@@ -404,10 +418,7 @@ def apery_table(S: NumericalSemigroup) -> AperyTable:
     _certify(len(elements) == e and elements[0] == 0, "malformed Apery set")
     _certify(strata.get(1, ()) == tuple(g for g in S.min_gens if g != e),
              "order-1 Apery stratum differs from the minimal generators")
-    # the walk reads W_2 off the generators, so order 1 is checked against one gathered Ap(2M)
-    ap2 = _min_plus(_maximal(S.w), S.min_gens)
-    _certify(strata.get(1, ()) == tuple(np.sort(S.w[1:][ap2[1:] != S.w[1:]]).tolist()),
-             "order-1 Apery stratum differs from the Apery elements outside the gathered Ap(2M)")
+    _certify_order_one(S, apery_orders)
     return AperyTable(elements=elements, orders=orders, strata=strata)
 
 
@@ -457,6 +468,13 @@ def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
 
     The run ends are grouped once (C_k by k, D_k by h, D_k^t by (h, t)), and
     one grouping of Ap_k and the D_h^k + e, h < k, checks that they split C_k.
+    That check reads the frontiers a second time: the same pass counts each
+    class's pristine run, its stays from level 1 up to its first rise, as
+    :func:`_walk` counts the Apery orders, and a class of order k <= k_max
+    rises at level k + 1, within the levels read, so Ap_k is the S.w of the
+    classes that count k.  The order-1 count is checked against one gathered
+    Ap(2M), as in :func:`apery_table`, so a generator that is not minimal
+    raises here too.
     SizeLimitError past LISTING_LIMIT cells of e (k_max + 1), before any level is read.
     """
     if k_max < 2:
@@ -466,12 +484,17 @@ def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
         raise SizeLimitError(f"layer grid of {e * (k_max + 1)} cells"
                              " exceeds the supported size 2**22")
     last, ends = np.zeros(e, dtype=np.int64), []
+    # level 0 keeps every class and is no run of stays: the counts start at -1
+    pristine, apery_orders = np.ones(e, dtype=bool), np.full(e, -1, dtype=np.int64)
     for k, (D, inZ) in enumerate(_levels(S)):
         r = (~inZ & (last < k - 1) & (last <= k_max)).nonzero()[0]  # runs of stays ending at k - 1
         ends.append((last[r], np.full(len(r), k - 1), D[r].astype(np.int64) + (k - 1) * e))
         last[~inZ] = k
+        pristine &= inZ
+        apery_orders += pristine
         if k > k_max and not ((last >= 2) & (last <= k_max)).any():
             break
+    _certify_order_one(S, apery_orders)
     rise, order, elems = map(np.concatenate, zip(*ends))  # (h, k - 1, W_{k-1}[r]) per run end
     in_c = (order >= 2) & (order <= k_max)
     c_grouped = _grouped(order[in_c], elems[in_c])
@@ -483,10 +506,9 @@ def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:
     for key, v in _grouped(d_levels * base + landing, d_elems).items():
         d_refined[key // base][key % base] = v
 
-    strata = [(k, a) for k, v in apery_table(S).strata.items() if 2 <= k <= k_max for a in v]
-    ap_levels, ap = np.array(strata, dtype=np.int64).reshape(-1, 2).T
-    lands = landing <= k_max
-    pieces = _grouped(np.r_[ap_levels, landing[lands]], np.r_[ap, d_elems[lands] + e])
+    in_ap, lands = (apery_orders >= 2) & (apery_orders <= k_max), landing <= k_max
+    pieces = _grouped(np.r_[apery_orders[in_ap], landing[lands]],
+                      np.r_[S.w[in_ap], d_elems[lands] + e])
     for k in sorted(pieces.keys() | c_grouped.keys()):
         piece = pieces.get(k, ())
         _certify(len(set(piece)) == len(piece), f"C_{k} pieces overlap")

@@ -204,6 +204,41 @@ def test_family_must_cover_each_class_once(monkeypatch):
         construct_asd(6)
 
 
+_BASE = "base = numsgps.construction._base_parameters\n"
+
+
+def test_base_relation_fires_under_python_O():
+    proc = _exit_under_python_O(
+        _BASE + "numsgps.construction._base_parameters = "
+        "lambda ell: (lambda e, n1, n2: (e, n1 + 1, n2))(*base(ell))",
+        ["construct", "--ell", "6"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "base generators break ell*n1 + (ell-1)*e = (ell+2)*n2" in proc.stderr
+
+
+def test_family_collision_fires_under_python_O():
+    # n1 + ell + 2 and n2 + ell keep ell*n1 + (ell-1)*e = (ell+2)*n2; at ell = 5 two
+    # generators of the families then coincide
+    proc = _exit_under_python_O(
+        _BASE + "numsgps.construction._base_parameters = "
+        "lambda ell: (lambda e, n1, n2: (e, n1 + ell + 2, n2 + ell))(*base(ell))",
+        ["construct", "--ell", "5"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "generating families collide unexpectedly" in proc.stderr
+
+
+def test_excluded_level_family_fires_under_python_O():
+    # at ell = 14, gcd(e, n1, n2) = 11: the family misses every class mod 242 off the multiples of 11
+    proc = _exit_under_python_O(
+        "numsgps.construction.is_excluded_level = lambda ell: False", ["construct", "--ell", "14"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert ("construction at level 14: the Apery family does not meet each nonzero class"
+            " mod 242 once") in proc.stderr
+
+
 def test_construction_size_guard(monkeypatch):
     monkeypatch.setattr(numsgps.core, "MULTIPLICITY_LIMIT", 31)
     # the guard fires before the family is built

@@ -373,6 +373,17 @@ def test_final_certificate_fires_under_python_O():
             "at the final duplication") in proc.stderr
 
 
+def test_drop_certificate_fires_under_python_O():
+    # without its last duplication the chain reaches a drop of 2, short of the target 3
+    proc = _exit_under_python_O(
+        "chain = numsgps.duplication._chain\n"
+        "numsgps.duplication._chain = lambda S0, steps: tuple(x[:-1] for x in chain(S0, steps))",
+        ["witness", "--level", "4", "--drop", "3"],
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "drop 2 does not exceed the target 3" in proc.stderr
+
+
 def test_type_certificate_fires_under_python_O():
     proc = _exit_under_python_O(
         "pf_type = numsgps.duplication.semigroup_type\n"

@@ -51,6 +51,7 @@ from conftest import (
     record_narrow,
     run_capped,
     run_capped_cli,
+    run_script,
     walk_rows,
 )
 
@@ -508,9 +509,43 @@ def _redundant_generator_semigroup() -> NumericalSemigroup:
 
 
 def test_order_one_certificate_catches_a_redundant_generator():
-    with pytest.raises(AssertionError, match="order-1 Apery stratum differs"):
+    with pytest.raises(AssertionError, match=r"^order-1 Apery stratum differs from the Apery elements"
+                                             r" outside the gathered Ap\(2M\)$"):
         apery_table(_redundant_generator_semigroup())
     _walk.cache_clear()
+
+
+def test_layer_sets_catch_a_redundant_generator():
+    # the layer sets count their own Apery orders and gather Ap(2M) once, as apery_table does
+    with pytest.raises(AssertionError, match=r"^order-1 Apery stratum differs from the Apery elements"
+                                             r" outside the gathered Ap\(2M\)$"):
+        layer_sets(_redundant_generator_semigroup(), 3)
+
+
+def test_order_one_certificate_catches_a_generator_off_the_apery_set():
+    # 9 = 5 + 4 is no Apery element: class 1 holds 5, so the order-1 stratum misses 9
+    S = NumericalSemigroup((4, 5, 6, 9), NumericalSemigroup.from_generators([4, 5, 6]).w.copy())
+    with pytest.raises(AssertionError,
+                       match="^order-1 Apery stratum differs from the minimal generators$"):
+        apery_table(S)
+    _walk.cache_clear()
+
+
+def test_malformed_apery_set_fires_under_python_O():
+    # w[0] = 4: the rows are walked, but no Apery set holds 0 first
+    proc = run_script(
+        "import sys\n"
+        "import numpy as np\n"
+        "from numsgps import NumericalSemigroup, apery_table\n"
+        "from numsgps.core import CertificationError\n"
+        "try:\n"
+        "    apery_table(NumericalSemigroup((4, 5, 6), np.array([4, 5, 6, 11])))\n"
+        "except CertificationError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n",
+        "-O",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 malformed Apery set\n"
 
 
 def test_hilbert_cross_check_catches_a_redundant_generator():
@@ -728,14 +763,21 @@ def test_order_table_reads_no_row_past_its_bound(monkeypatch):
 
 
 def test_layer_sets_read_only_the_levels_they_need(monkeypatch):
-    # W_0..W_4 of 10009: past level k_max + 1 = 4 no class that last rose at level 2 or 3 stays
+    # W_0..W_4 of 10009: past level k_max + 1 = 4 no class that last rose at level 2 or 3 stays,
+    # and the certificate's Apery strata are counted in the same pass, with no walk to W_R
     S = NumericalSemigroup.from_generators([10007, 10009])
     read = _count_rows(monkeypatch)
-    apery_table(S)  # the certificate's full walk, cached
-    read.clear()
     layers = layer_sets(S, 3)
     assert len(read) == 5
     assert layers.c_sets == {2: (20018,), 3: (30027,)}
+
+
+def test_layer_sets_cli_reads_no_level_past_it_needs():
+    # R = 100003: the listings need W_0..W_3, and the Apery strata come from the same pass
+    proc = run_capped_cli(["hilbert", "100003,100005", "--hmax", "2", "--layers"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("H = [1, 2, 3]\n")
+    assert "C_2 = [200010]\n" in proc.stdout
 
 
 def test_layer_sets_cli_over_a_thousand_levels():
@@ -770,7 +812,12 @@ def test_cross_check_fires_under_python_O():
 
 def test_layer_certificate_fires_under_python_O():
     proc = _exit_under_python_O(
-        "numsgps.hilbert.apery_table = lambda S: numsgps.hilbert.AperyTable((), {}, {})",
+        # the fourth grouping in layer_sets is C_k's decomposition: drop it
+        "grouped, calls = numsgps.hilbert._grouped, []\n"
+        "def dropped(keys, values):\n"
+        "    calls.append(1)\n"
+        "    return {} if len(calls) == 4 else grouped(keys, values)\n"
+        "numsgps.hilbert._grouped = dropped",
         ["hilbert", "4,6,7", "--hmax", "5", "--layers"],
     )
     assert proc.returncode == 4, proc.stderr
@@ -778,14 +825,15 @@ def test_layer_certificate_fires_under_python_O():
 
 
 def test_layer_overlap_certificate_fires(monkeypatch):
-    table = numsgps.hilbert.apery_table
+    grouped, calls = numsgps.hilbert._grouped, []
 
-    def doubled(S):
-        ap = table(S)
-        strata = {k: v + v for k, v in ap.strata.items()}
-        return numsgps.hilbert.AperyTable(ap.elements, ap.orders, strata)
+    def doubled(keys, values):
+        # the fourth grouping in layer_sets is C_k's decomposition: list each piece twice
+        calls.append(1)
+        groups = grouped(keys, values)
+        return {k: v + v for k, v in groups.items()} if len(calls) == 4 else groups
 
-    monkeypatch.setattr(numsgps.hilbert, "apery_table", doubled)
+    monkeypatch.setattr(numsgps.hilbert, "_grouped", doubled)
     with pytest.raises(AssertionError, match="C_2 pieces overlap"):
         layer_sets(NumericalSemigroup.from_generators([4, 6, 7]), 5)
 

@@ -1,11 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import re
+from itertools import combinations
 from pathlib import Path
 
 import numsgps
 
 SOURCES = sorted(Path(numsgps.__file__).resolve().parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
 
 
 def test_no_assert_statements_in_package():
@@ -39,6 +42,99 @@ def test_certify_messages_are_unique_literals():
 def test_certify_message_scan_sees_fstrings():
     tree = ast.parse("_certify(a, 'x')\nif b:\n    _certify(b, f'y {k}')\n_certify(c, msg)\n")
     assert sorted(_certify_messages(tree)) == ["'x'", "f'y {k}'", "msg"]
+
+
+def _pieces(message: str) -> list[str]:
+    """The literal text of a ``_certify`` message's source, split at each f-string field."""
+    node = ast.parse(message, mode="eval").body
+    if not isinstance(node, ast.JoinedStr):
+        return [node.value]
+    pieces = [""]
+    for part in node.values:
+        if isinstance(part, ast.Constant):
+            pieces[-1] += part.value
+        else:
+            pieces.append("")
+    return pieces
+
+
+def _names(text: str, pieces: list[str], others: list[list[str]]) -> bool:
+    """Whether a test's ``text`` names the message of ``pieces``, each field read as any text.
+
+    It does if it holds the whole message, or a run of it that starts and
+    ends at the message's edges or in literal text of two words or more.  A
+    run inside one literal piece counts only if no other message's pieces
+    hold it, so a prefix that two messages share names neither.
+    """
+    def words(part: str) -> bool:
+        return len(re.findall(r"\w+", part)) >= 2
+
+    if re.search(".+".join(map(re.escape, pieces)), text, re.S):
+        return True
+    if any(text in piece for piece in pieces):
+        return words(text) and not any(text in piece for other in others for piece in other)
+    last = len(pieces) - 1
+    for i, j in combinations(range(len(pieces)), 2):
+        heads = [pieces[i][k:] for k in range(len(pieces[i]) + 1)
+                 if (i, k) == (0, 0) or words(pieces[i][k:])]
+        tails = [pieces[j][:k] for k in range(len(pieces[j]) + 1)
+                 if (j, k) == (last, len(pieces[j])) or words(pieces[j][:k])]
+        run = ".+".join([f"(?:{'|'.join(map(re.escape, heads))})",
+                         *map(re.escape, pieces[i + 1:j]),
+                         f"(?:{'|'.join(map(re.escape, tails))})"])
+        if heads and tails and re.fullmatch(run, text, re.S):
+            return True
+    return False
+
+
+def _asserted_texts(tree: ast.Module) -> set[str]:
+    """The strings a test compares or passes as ``match=``, with regex escapes undone."""
+    nodes = [keyword.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+             for keyword in node.keywords if keyword.arg == "match"]
+    nodes += [part for node in ast.walk(tree) if isinstance(node, ast.Compare)
+              for part in (node.left, *node.comparators)]
+    return {re.sub(r"\\(.)", r"\1", node.value) for node in nodes
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def _unfired_messages(sources: dict[str, ast.Module], tests: list[ast.Module]) -> list[str]:
+    """Each ``_certify`` message that no string a test asserts names, as ``module: source``."""
+    messages = {(module, m): _pieces(m) for module, tree in sources.items()
+                for m in _certify_messages(tree)}
+    texts = set().union(*map(_asserted_texts, tests))
+    return sorted(f"{module}: {m}" for (module, m), pieces in messages.items()
+                  if not any(_names(text, pieces, [p for key, p in messages.items()
+                                                   if key != (module, m)]) for text in texts))
+
+
+def test_every_certify_message_fires_in_a_test():
+    # a certificate that no test makes fire may be dead; prove it redundant and delete it instead
+    sources = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    tests = [ast.parse(path.read_text(), filename=str(path)) for path in TESTS]
+    assert len(tests) >= 9
+    assert _unfired_messages(sources, tests) == []
+
+
+def test_unfired_message_scan_catches_a_leftover():
+    sources = {"a.py": ast.parse(
+        "_certify(a, 'rows and oracle disagree')\n_certify(b, f'C_{k} pieces overlap')\n"
+        "_certify(c, f'{where}: a sum of two others')\n_certify(d, f'drop {x} short of {y}')\n"
+        "_certify(e, 'order-1 stratum differs from G')\n"
+        "_certify(f, 'order-1 stratum differs from Ap(2M)')\n_certify(g, f'{where}: no class')\n"
+        "_certify(h, 'no test names this')\n"
+    )}
+    tests = [ast.parse(
+        "assert 'rows and oracle disagree' in proc.stderr\nraises(E, match='C_2 pieces overlap')\n"
+        "assert 'level 6: a sum' in err\nassert out == '1 drop 2 short of 3\\n'\n"
+        "raises(E, match=r'from Ap\\(2M\\)')\nassert 'order-1 stratum differs' in err\n"
+        "assert 'construction at level 6' in err\nassert '^level 6: ' in err\n"
+        "patch = 'no test names this'\nassert kind == 'names'\n"
+    )]
+    # a shared prefix names neither order-1 message; a field with a word or less of text
+    # around it, a single word and a string that no assertion reads name nothing
+    assert _unfired_messages(sources, tests) == ["a.py: 'no test names this'",
+                                                 "a.py: 'order-1 stratum differs from G'",
+                                                 "a.py: f'{where}: no class'"]
 
 
 def _size_guards(tree: ast.Module) -> list[tuple[int, str, str]]:
