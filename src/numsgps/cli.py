@@ -16,18 +16,9 @@ import argparse
 import json
 import sys
 
-from .construction import EllTooSmall, ExcludedEll, _verify, construct_asd
-from .core import GcdError, NotMember, NumericalSemigroup, parse_generators
-from .duplication import (
-    BNotInS,
-    EvenB,
-    ExcludedLevel,
-    IdealSumViolation,
-    LevelTooSmall,
-    gorenstein_witness,
-    numerical_duplication,
-    predicted_duplication_hilbert,
-)
+from .construction import _verify, construct_asd
+from .core import DomainError, GcdError, NotMember, NumericalSemigroup, parse_generators
+from .duplication import gorenstein_witness, numerical_duplication, predicted_duplication_hilbert
 from .fixtures import (
     FixtureError,
     FixtureIntegrityError,
@@ -53,15 +44,6 @@ from .ideals import (
 )
 
 INPUT_ERRORS = (ValueError, GcdError, NotMember, NotStabilized, FixtureError)
-DOMAIN_ERRORS = (
-    ExcludedEll,
-    EllTooSmall,
-    ExcludedLevel,
-    LevelTooSmall,
-    EvenB,
-    BNotInS,
-    IdealSumViolation,
-)
 
 
 def _resolve_semigroup(text: str) -> NumericalSemigroup:
@@ -77,7 +59,10 @@ def _resolve_ideal(S: NumericalSemigroup, descriptor: str) -> RelativeIdeal:
         return maximal_ideal(S)
     if descriptor.startswith("canonical"):
         rest = descriptor[len("canonical"):]
-        shift = int(rest) if rest else 0
+        try:
+            shift = int(rest) if rest else 0
+        except ValueError as exc:
+            raise ValueError(f"cannot parse ideal descriptor {descriptor!r}") from exc
         return standard_canonical_ideal(S).shift(shift)
     return ideal_generated_by(S, parse_generators(descriptor))
 
@@ -301,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except INPUT_ERRORS as exc:

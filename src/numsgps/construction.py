@@ -29,18 +29,18 @@ from typing import Any
 import numpy as np
 
 from .core import (
-    LISTING_LIMIT, NumericalSemigroup, SemigroupError, SizeLimitError, _certify,
+    LISTING_LIMIT, DomainError, NumericalSemigroup, SizeLimitError, _certify,
     _certify_generators, _check_size,
 )
 from .hilbert import apery_table, decrease_levels, hilbert_through_stabilization
 from .ideals import is_almost_symmetric, nari_partition, pseudo_frobenius, semigroup_type
 
 
-class EllTooSmall(SemigroupError):
+class EllTooSmall(DomainError):
     """The construction needs level >= 4."""
 
 
-class ExcludedEll(SemigroupError):
+class ExcludedEll(DomainError):
     """Levels 14+22k and 35+46k admit no construction (gcd obstruction)."""
 
 

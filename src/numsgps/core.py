@@ -64,7 +64,11 @@ LISTING_LIMIT = 1 << 22
 
 
 class SemigroupError(Exception):
-    """Base class for the domain errors raised by this package."""
+    """Base class for the errors raised by this package."""
+
+
+class DomainError(SemigroupError):
+    """The input lies outside a construction's domain: an excluded level, bad duplication data."""
 
 
 class GcdError(SemigroupError):

@@ -28,8 +28,8 @@ import numpy as np
 
 from .core import (
     _UNREACHED,
+    DomainError,
     NumericalSemigroup,
-    SemigroupError,
     _certify,
     _certify_generators,
     _check_size,
@@ -49,23 +49,23 @@ from .ideals import (
 )
 
 
-class EvenB(SemigroupError):
+class EvenB(DomainError):
     """The duplication shift b must be odd."""
 
 
-class BNotInS(SemigroupError):
+class BNotInS(DomainError):
     """The duplication shift b must belong to the semigroup."""
 
 
-class IdealSumViolation(SemigroupError):
+class IdealSumViolation(DomainError):
     """E + E + b escapes S, so the doubled set is not closed under addition."""
 
 
-class LevelTooSmall(SemigroupError):
+class LevelTooSmall(DomainError):
     """The witness procedure needs a level of at least 2."""
 
 
-class ExcludedLevel(SemigroupError):
+class ExcludedLevel(DomainError):
     """Levels 14+22k and 35+46k are outside the witness procedure's range."""
 
 

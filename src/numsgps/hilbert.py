@@ -12,12 +12,13 @@ the generators still active.  W_2 needs none: a nonzero Apery element lies
 in 2M exactly when it is not a minimal generator.  The walk keeps the
 offset row W_k - k e in place, which changes only on the classes that stay.
 The rows give H(k) = sum(W_{k+1} - W_k) / e, which is e minus the size of
-the next frontier, and the Apery strata.  Every element order is read off
-where the classes rise: a rise of class r at level k, r outside Z_k, ends
-the element W_{k-1}[r], of order k - 1, and these are all the members
-below W_K[r] for the last level K read; a member x >= W_K[r] has order
-(x - D_K[r]) // e.  ``order_table``, ``element_order`` and ``layer_sets``
-all read this one identity.
+the next frontier, and the Apery strata.  A member s of the class r has
+order max{k : W_k[r] <= s}, as kM + e lies in kM: ``element_order`` reads
+this directly and stops at the first row above s.  ``order_table`` and
+``layer_sets`` read it where the classes rise: a rise of class r at level
+k, r outside Z_k, ends the element W_{k-1}[r], of order k - 1, and these
+are all the members below W_K[r] for the last level K read; a member
+x >= W_K[r] has order (x - D_K[r]) // e.
 
 Stabilization is certified, not guessed: the rows stop at the reduction
 index R, the first k >= 1 with W_k = W_{k-1} + e, i.e. kM = (k-1)M + e.
@@ -148,11 +149,11 @@ def _levels(S: NumericalSemigroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         frontier = inZ.nonzero()[0]
         D[frontier] -= e_dt
         yield D, inZ
-        if level == 1 and e > 1:  # Z_1 is empty only for e = 1, where R = 1
+        if not len(frontier):  # W_R was just yielded; Z_1 is empty only for e = 1, where R = 1
+            return
+        if level == 1:
             inZ[_rising_at_two(S)] = False
             continue
-        if not len(frontier):
-            return
         inZ.fill(False)
         rows = max(1, _GATHER_CELLS // len(shifts))
         for lo in range(0, len(frontier), rows):
@@ -206,7 +207,8 @@ def order_table(S: NumericalSemigroup, bound: int) -> np.ndarray:
     is at least K exactly from W_K[r] on: past W_R each e adds one order,
     and short of it x < (K + 1) e <= W_{K+1}[r] keeps x out of (K + 1)M.  So
     each level scatters its O(e) rises, and one pass over [0, bound) reads
-    the rest.
+    the rest, where testing every cell against each row, as
+    :func:`element_order` tests its one s, would cost O(bound) a level.
     """
     if bound > LISTING_LIMIT:
         raise SizeLimitError(f"order table of {bound} elements exceeds the supported size 2**22")
@@ -222,26 +224,21 @@ def order_table(S: NumericalSemigroup, bound: int) -> np.ndarray:
 def element_order(S: NumericalSemigroup, s: int) -> int:
     """Largest number of nonzero summands expressing s; ord(0) = 0.
 
-    The rises of the class r of s, read as in :func:`order_table` through
-    level K = min(R, s // e): s has order k - 1 if r rises at level k with
-    W_{k-1}[r] = s, and (s - D_K[r]) // e if s >= W_K[r]; the row entries are
-    read as Python ints, so no sum wraps in the walk's dtype.  A member
-    s >= 2**62 steps down by q e into [2**62 - e, 2**62), which keeps the
-    level count s // e + 1 a machine-size index, and ord(s) = ord(s - q e) + q:
-    W_{R-1} <= W_0 + (R-1) e is below 2**59 + 2**48 under the Apery and
-    multiplicity limits, as R <= e, and past W_{R-1} each e adds one order,
-    since kM = (k-1)M + e for k >= R.
+    A member s of the class r lies in kM exactly when s >= W_k[r], as
+    kM + e lies in kM, so ord(s) = max{k : W_k[r] <= s}.  W_k[r] rises with
+    k, so the walk stops at the first row with W_k[r] = D_k[r] + k e > s and
+    reads min(ord(s) + 2, R + 1) rows.  A walk that ends at W_R with
+    W_R[r] <= s reads (s - D_R[r]) // e, as every later row is the one
+    before plus e.  The row entries are read as Python ints, so no sum
+    wraps, whatever the size of s.
     """
     if not S.contains(s):
         raise NotMember(f"{s} is not an element of {S!r}")
-    e = S.multiplicity
-    q = max(0, (s - (1 << 62)) // e + 1)
-    s, r = s - q * e, s % e
-    for k, (D, inZ) in enumerate(islice(_levels(S), s // e + 1)):
-        if not inZ[r] and int(D[r]) + (k - 1) * e == s:
-            order = k - 1
-    # s >= W_K[r] = D_K[r] + K e reads the tail; below it, s is the element a rise of r ended
-    return q + ((s - int(D[r])) // e if s >= int(D[r]) + k * e else order)
+    e, r = S.multiplicity, s % S.multiplicity
+    for k, (D, _) in enumerate(_levels(S)):
+        if int(D[r]) + k * e > s:
+            return k - 1
+    return (s - int(D[r])) // e
 
 
 # ---------------------------------------------------------------------------

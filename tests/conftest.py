@@ -18,7 +18,10 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,6 +159,28 @@ def record_narrow(monkeypatch, *modules) -> list[type]:
     for module in modules:
         monkeypatch.setattr(module, "_narrow", recorded)
     return chosen
+
+
+@contextmanager
+def traced_memory(*caches):
+    """Trace the block's allocations with ``caches`` cleared before and after it.
+
+    On a normal exit the yielded record holds ``peak``, the tracemalloc peak in
+    bytes, and ``retained``, the bytes still traced less those traced at entry.
+    """
+    record = SimpleNamespace()
+    for cache in caches:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        yield record
+        current, record.peak = tracemalloc.get_traced_memory()
+        record.retained = current - before
+    finally:
+        tracemalloc.stop()
+        for cache in caches:
+            cache.cache_clear()
 
 
 def random_semigroup(rng: random.Random, max_mult: int = 9, genus_cap: int | None = None,

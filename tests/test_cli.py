@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import numsgps
+from numsgps import SemigroupError, cli
 from numsgps.cli import main
 
 from conftest import run_capped_cli
@@ -99,6 +101,13 @@ def test_duplicate_even_b_exit_3(capsys):
     code, _, err = run(capsys, "duplicate", "2,3", "--ideal", "maximal", "--b", "4")
     assert code == 3
     assert "odd" in err
+
+
+@pytest.mark.parametrize("descriptor", ["canonicalx", "canonical+"])
+def test_duplicate_unparsable_canonical_shift_exit_2(capsys, descriptor):
+    code, _, err = run(capsys, "duplicate", "4,5", "--ideal", descriptor, "--b", "5")
+    assert code == 2
+    assert err == f"error: cannot parse ideal descriptor '{descriptor}'\n"
 
 
 def test_construct_verify(capsys):
@@ -226,3 +235,46 @@ def test_construction_past_size_limit_fails_before_its_families(argv):
     assert proc.returncode == 2, proc.stderr
     assert "exceeds the supported range 2**40" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _package_errors() -> list[type]:
+    """Every SemigroupError subclass that a module of numsgps defines."""
+    found, todo = [], [SemigroupError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("numsgps.") and cls not in found:
+                found.append(cls)
+                todo.append(cls)
+    return found
+
+
+def _raising_info(monkeypatch, error: type) -> None:
+    def cmd_info(args):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "cmd_info", cmd_info)
+
+
+@pytest.mark.parametrize("error", _package_errors(), ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_a_code(monkeypatch, capsys, error):
+    # a new error class must subclass one that main maps, or it ends in a traceback
+    _raising_info(monkeypatch, error)
+    code, _, err = run(capsys, "info", "2,3")
+    assert code == 3 if issubclass(error, numsgps.core.DomainError) else code in (2, 4)
+    assert err.endswith(": planted\n")
+
+
+def test_package_error_scan_sees_every_module():
+    names = {cls.__name__ for cls in _package_errors()}
+    assert {"DomainError", "EvenB", "ExcludedEll", "FixtureIntegrityError", "NotStabilized",
+            "SizeLimitError"} <= names
+    assert numsgps.core.DomainError in _package_errors()
+
+
+def test_bare_package_error_escapes_main(monkeypatch):
+    class Stray(SemigroupError):
+        pass
+
+    _raising_info(monkeypatch, Stray)
+    with pytest.raises(Stray, match="planted"):
+        main(["info", "2,3"])

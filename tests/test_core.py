@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from numsgps.core import (
     _relax,
 )
 
-from conftest import brute_members, record_narrow, run_script
+from conftest import brute_members, record_narrow, run_script, traced_memory
 
 
 def test_two_three():
@@ -206,37 +205,25 @@ def test_relax_matches_brute_force_over_arbitrary_vectors(case):
 def test_round_robin_peak_memory_per_class(gens):
     # the Apery vector plus _relax's steps, index and prefix minima, each of at most e
     # entries, take 32 bytes a class
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         NumericalSemigroup.from_generators(gens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 56 * gens[0]
+    assert mem.peak <= 56 * gens[0]
 
 
 def _rejected_before_allocating(gens, match):
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         with pytest.raises(ValueError, match=match):
             NumericalSemigroup.from_generators(gens)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20  # no 8e-byte vector was allocated
+    assert mem.peak < 1 << 20  # no 8e-byte vector was allocated
 
 
 def test_gaps_listed_per_class_and_guarded():
     # <10007, 10009> has genus 50070024; a bool table over [0, c) alone is 764 MiB
     S = NumericalSemigroup.from_generators([10007, 10009])
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         with pytest.raises(ValueError, match=f"gap listing of {S.genus} elements exceeds"):
             S.gaps
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert mem.peak < 1 << 20
 
 
 def test_multiplicity_ceiling(monkeypatch):

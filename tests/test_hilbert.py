@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-import tracemalloc
 import warnings
 from functools import lru_cache
 from itertools import islice
@@ -52,6 +51,7 @@ from conftest import (
     run_capped,
     run_capped_cli,
     run_script,
+    traced_memory,
     walk_rows,
 )
 
@@ -244,6 +244,10 @@ def test_element_order_past_int64():
     assert element_order(S, 2**64) == 2**62
     assert element_order(S, 2**63) == 2**61
     assert element_order(S, 2**63 + 13) == element_order(S, 13) + 2**61
+    # either side of 2**62: past W_R each e adds one order
+    orders = brute_orders(S.min_gens, 104)
+    assert element_order(S, 2**62 - 1) == orders[103] + (2**62 - 1 - 103) // 4
+    assert element_order(S, 2**62) == orders[100] + (2**62 - 100) // 4 == 2**60
 
 
 @given(semigroup_gens())
@@ -362,13 +366,9 @@ def test_set_construction_oracle_memory_below_conductor_tables():
     # c is about 10^8, so a bool table over [0, c) takes 100 MB; the oracle holds
     # a few Apery vectors of e = 10007 entries, 80 KB each in int64
     S = NumericalSemigroup.from_generators([10007, 10009])
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         values = hilbert_by_set_construction(S, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert mem.peak < 1 << 20
     assert values == [1, 2, 3, 4]
 
 
@@ -652,27 +652,18 @@ def test_hilbert_at_the_multiplicity_limit_under_896_mib(h_max):
     assert proc.stdout.splitlines()[0] == f"H = {list(range(1, h_max + 2))}"
 
 
-def _peak_per_class(S, call) -> float:
-    """tracemalloc peak of ``call()`` in bytes per class of S, with no walk cached."""
-    _walk.cache_clear()
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        _walk.cache_clear()
-    return peak / S.multiplicity
-
-
 @pytest.mark.parametrize("h_max", [2, 3])
 def test_hilbert_path_peak_bytes_per_class(h_max):
     # on top of S.w: the walk holds D, the mask, one frontier and the lowered entries
     # (25 bytes a class in int64) and the oracle the kernel's copy of v_j, its spare row and
     # one row (24)
     S = NumericalSemigroup.from_generators([2**20 - 3, 2**20 - 1])
-    assert _peak_per_class(S, lambda: hilbert_function(S, h_max)) <= 36
-    assert _peak_per_class(S, lambda: hilbert_by_set_construction(S, h_max)) <= 33
+    with traced_memory(_walk) as mem:  # no walk cached
+        hilbert_function(S, h_max)
+    assert mem.peak / S.multiplicity <= 36
+    with traced_memory(_walk) as mem:
+        hilbert_by_set_construction(S, h_max)
+    assert mem.peak / S.multiplicity <= 33
 
 
 @pytest.mark.parametrize("gens", [
@@ -791,13 +782,9 @@ def test_layer_sets_cli_over_a_thousand_levels():
 def test_layer_sets_memory_independent_of_conductor():
     # c is about 10^6: one int64 table over [0, c + 6e) alone is 8 MB
     S = NumericalSemigroup.from_generators([1009, 1013])
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         layers = layer_sets(S, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    assert mem.peak < 4 << 20
     assert layers.c_sets[2] == (2026,)
 
 
@@ -878,6 +865,20 @@ def _count_rows(monkeypatch) -> list[int]:
     return read
 
 
+def test_element_order_stops_at_the_first_row_above_s(monkeypatch):
+    # 8891 is a minimal generator, of order 1: W_2[8891 mod 100] > 8891 ends the walk at W_2,
+    # though s // e = 88
+    S = NumericalSemigroup.from_generators([100, 101, 8891])
+    read = _count_rows(monkeypatch)
+    assert element_order(S, 8891) == 1
+    assert len(read) == 3
+    # 12345 lies past W_R, whose entries stay below 10100, so it reads all R + 1 rows
+    R = len(_walk(S, None)[0])
+    read.clear()
+    assert element_order(S, 12345) == brute_orders(S.min_gens, 12346)[12345]
+    assert len(read) == R + 1
+
+
 def test_bounded_hilbert_call_reads_only_its_rows(monkeypatch):
     # H(0..3) needs W_0..W_4 of the 30012 rows; H(h) = h + 1 for h < 30011 on <30011, 30013>
     read = _count_rows(monkeypatch)
@@ -954,16 +955,11 @@ def test_cached_walks_retain_no_row_buffers():
     # a full cache of bounded walks holds counts and orders, O(e) each, and no
     # suspended row generator with its gather blocks
     _walk.cache_clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         for k in range(64):
             hilbert_function(NumericalSemigroup.from_generators([7, 8 + 7 * k, 9 + 7 * k]), 1)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
     assert _walk.cache_info().currsize == 64
-    assert retained < 2 << 20
+    assert mem.retained < 2 << 20
     _walk.cache_clear()
 
 
@@ -974,17 +970,12 @@ def test_bounded_walks_keep_no_apery_orders():
     primes = [n for n in candidates if all(n % d for d in range(3, math.isqrt(n) + 1, 2))][:65]
     semigroups = [NumericalSemigroup.from_generators(pq) for pq in zip(primes, primes[1:])]
     _walk.cache_clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         for S in semigroups:
             hilbert_function(S, 3)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
     assert _walk.cache_info().currsize == 64
     assert _walk(semigroups[0], 4)[1] is None
-    assert retained < 1 << 19
+    assert mem.retained < 1 << 19
     _walk.cache_clear()
 
 

@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,9 @@ from numsgps.cli import main
 from numsgps.hilbert import _walk
 from numsgps.ideals import RelativeIdeal
 
-from conftest import _exit_under_python_O, brute_members, random_semigroup, run_script
+from conftest import (
+    _exit_under_python_O, brute_members, random_semigroup, run_script, traced_memory,
+)
 
 S23 = NumericalSemigroup.from_generators([2, 3])
 
@@ -144,19 +145,6 @@ def test_canonical_ideal_matches_its_definition(S):
     assert standard_canonical_ideal(S).w.tolist() == want
 
 
-def _peak_per_class(S, call) -> float:
-    """tracemalloc peak of ``call()`` in bytes per class of S, with no PF cached."""
-    pseudo_frobenius.cache_clear()
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        pseudo_frobenius.cache_clear()
-    return peak / S.multiplicity
-
-
 @pytest.mark.parametrize("call, budget", [
     (standard_canonical_ideal, 9),  # K(S) itself, built from two slices of S.w
     (is_symmetric, 10),  # K(S) and the mask of its comparison with S.w
@@ -164,7 +152,9 @@ def _peak_per_class(S, call) -> float:
 ])
 def test_canonical_route_peak_bytes_per_class(call, budget):
     S = NumericalSemigroup.from_generators([2**20 - 3, 2**20 - 1])
-    assert _peak_per_class(S, lambda: call(S)) <= budget
+    with traced_memory(pseudo_frobenius) as mem:  # no PF cached
+        call(S)
+    assert mem.peak / S.multiplicity <= budget
 
 
 def test_ideal_minimal_generators_basics():
@@ -453,14 +443,10 @@ def test_listing_built_per_class_and_guarded(monkeypatch):
     # class 0 holds the 10^5 members below the threshold 10^7, every other class none
     S = NumericalSemigroup.from_generators([100] + [10**7 + r for r in range(1, 100)])
     E = semigroup_as_ideal(S)
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         listing = E.small
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert listing == tuple(range(0, 10**7, 100))
-    assert peak < 16 << 20  # an int64 range over [0, threshold) alone is 80 MB
+    assert mem.peak < 16 << 20  # an int64 range over [0, threshold) alone is 80 MB
     monkeypatch.setattr(numsgps.core, "LISTING_LIMIT", len(listing) - 1)
     with pytest.raises(ValueError, match=f"ideal listing of {len(listing)} elements exceeds"):
         E.to_json()
