@@ -5,28 +5,24 @@ Generator arguments accept '4,6,7', a JSON array '[4,6,7]', or '@name' for a
 stored fixture.  Every subcommand supports --json for machine-readable
 output.
 
-Exit codes: 0 success, 2 input error, 3 domain restriction (excluded level,
-invalid duplication data), 4 internal assertion or fixture-regression
-failure.
+Exit codes follow the base class of the exception that ends a subcommand:
+0 success, 2 a ``ValueError`` (unparsable or invalid input), 3 a
+``DomainError`` (excluded level, invalid duplication data), 4 an
+``AssertionError`` (a failed internal certificate or a fixture regression).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .construction import _verify, construct_asd
-from .core import DomainError, GcdError, NotMember, NumericalSemigroup, parse_generators
+from .core import DomainError, NumericalSemigroup, parse_generators
 from .duplication import gorenstein_witness, numerical_duplication, predicted_duplication_hilbert
-from .fixtures import (
-    FixtureError,
-    FixtureIntegrityError,
-    check_all_fixtures,
-    fixture_semigroup,
-)
+from .fixtures import check_all_fixtures, fixture_semigroup
 from .hilbert import (
-    NotStabilized,
     decrease_levels,
     hilbert_function,
     hilbert_through_stabilization,
@@ -43,8 +39,6 @@ from .ideals import (
     standard_canonical_ideal,
 )
 
-INPUT_ERRORS = (ValueError, GcdError, NotMember, NotStabilized, FixtureError)
-
 
 def _resolve_semigroup(text: str) -> NumericalSemigroup:
     if text.startswith("@"):
@@ -58,12 +52,11 @@ def _resolve_ideal(S: NumericalSemigroup, descriptor: str) -> RelativeIdeal:
     if descriptor == "maximal":
         return maximal_ideal(S)
     if descriptor.startswith("canonical"):
-        rest = descriptor[len("canonical"):]
-        try:
-            shift = int(rest) if rest else 0
-        except ValueError as exc:
-            raise ValueError(f"cannot parse ideal descriptor {descriptor!r}") from exc
-        return standard_canonical_ideal(S).shift(shift)
+        # [0-9]: \d and int() both admit any Unicode digit
+        shift = re.fullmatch(r"canonical([+-][0-9]+)?", descriptor)
+        if not shift:
+            raise ValueError(f"cannot parse ideal descriptor {descriptor!r}")
+        return standard_canonical_ideal(S).shift(int(shift[1] or 0))
     return ideal_generated_by(S, parse_generators(descriptor))
 
 
@@ -289,10 +282,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except INPUT_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, FixtureIntegrityError) as exc:
+    except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return 4
 

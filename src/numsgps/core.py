@@ -71,12 +71,12 @@ class DomainError(SemigroupError):
     """The input lies outside a construction's domain: an excluded level, bad duplication data."""
 
 
-class GcdError(SemigroupError):
-    """The generators have gcd > 1, so the complement would be infinite."""
+class GcdError(SemigroupError, ValueError):
+    """The generators have gcd > 1, so the complement would be infinite: an input error, exit 2."""
 
 
-class NotMember(SemigroupError):
-    """An integer that was required to lie in the semigroup does not."""
+class NotMember(SemigroupError, ValueError):
+    """An integer that was required to lie in the semigroup does not: an input error, exit 2."""
 
 
 class CertificationError(SemigroupError, AssertionError):

@@ -4,7 +4,8 @@ Each fixture is a JSON data file shipped with the package: a generator list
 plus the invariants it is expected to satisfy (type, Hilbert prefix, symmetry
 flags, Apery strata, ...).  An index file pins a sha256 per fixture, so an
 edited data file is rejected at load time, and :func:`check_fixture`
-recomputes every pinned invariant from scratch.  The environment variable
+recomputes every pinned invariant from scratch.  The data files live in the
+``fixtures`` directory beside this module; the environment variable
 ``SEMIGROUP_FIXTURES`` points the loader at an alternative directory.
 
 Generator lists that are usually written with a range shorthand are stored
@@ -18,7 +19,6 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .construction import Claim
@@ -29,12 +29,12 @@ from .ideals import is_almost_symmetric, is_symmetric, pseudo_frobenius, semigro
 ENV_VAR = "SEMIGROUP_FIXTURES"
 
 
-class FixtureError(SemigroupError):
-    """Unknown fixture name."""
+class FixtureError(SemigroupError, ValueError):
+    """Unknown fixture name: an input error, exit 2."""
 
 
-class FixtureIntegrityError(SemigroupError):
-    """Fixture data does not match its pinned checksum or index entry."""
+class FixtureIntegrityError(SemigroupError, AssertionError):
+    """Fixture data does not match its pinned checksum or index entry: a regression, exit 4."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _fixture_dir() -> Path:
     override = os.environ.get(ENV_VAR)
     if override:
         return Path(override)
-    return Path(str(resources.files("numsgps").joinpath("fixtures")))
+    return Path(__file__).with_name("fixtures")
 
 
 def load_registry(directory: str | None = None) -> dict[str, Fixture]:
@@ -156,13 +156,6 @@ def check_fixture(fx: Fixture) -> list[Claim]:
 
 
 def check_all_fixtures() -> dict[str, list[Claim]]:
-    """Claims for the whole registry (aliases skipped; they share data)."""
-    registry = load_registry()
-    seen: set[int] = set()
-    out: dict[str, list[Claim]] = {}
-    for name, fx in sorted(registry.items()):
-        if id(fx) in seen:
-            continue
-        seen.add(id(fx))
-        out[fx.name] = check_fixture(fx)
-    return out
+    """Claims for each fixture by its own name (an alias names its target's fixture)."""
+    fixtures = {fx.name: fx for fx in load_registry().values()}
+    return {name: check_fixture(fixtures[name]) for name in sorted(fixtures)}

@@ -61,8 +61,8 @@ from .core import (
 )
 
 
-class NotStabilized(SemigroupError):
-    """The Hilbert values were not computed through stabilization."""
+class NotStabilized(SemigroupError, ValueError):
+    """The Hilbert values were not computed through stabilization: an input error, exit 2."""
 
 
 # ---------------------------------------------------------------------------

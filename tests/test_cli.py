@@ -103,7 +103,8 @@ def test_duplicate_even_b_exit_3(capsys):
     assert "odd" in err
 
 
-@pytest.mark.parametrize("descriptor", ["canonicalx", "canonical+"])
+@pytest.mark.parametrize("descriptor", ["canonicalx", "canonical+", "canonical5",
+                                        "canonical1_0", "canonical+\u0663"])
 def test_duplicate_unparsable_canonical_shift_exit_2(capsys, descriptor):
     code, _, err = run(capsys, "duplicate", "4,5", "--ideal", descriptor, "--b", "5")
     assert code == 2
@@ -262,6 +263,16 @@ def test_every_package_error_exits_with_a_code(monkeypatch, capsys, error):
     code, _, err = run(capsys, "info", "2,3")
     assert code == 3 if issubclass(error, numsgps.core.DomainError) else code in (2, 4)
     assert err.endswith(": planted\n")
+
+
+@pytest.mark.parametrize("error", _package_errors(), ids=lambda cls: cls.__name__)
+def test_exit_code_is_read_off_the_error_base(monkeypatch, capsys, error):
+    # each package error sits under exactly one of the bases main maps
+    bases = {3: numsgps.core.DomainError, 2: ValueError, 4: AssertionError}
+    under = [code for code, base in bases.items() if issubclass(error, base)]
+    assert len(under) == 1, under
+    _raising_info(monkeypatch, error)
+    assert run(capsys, "info", "2,3")[0] == under[0]
 
 
 def test_package_error_scan_sees_every_module():

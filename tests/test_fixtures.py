@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import numsgps.fixtures
 from numsgps import (
     FixtureError,
     FixtureIntegrityError,
@@ -35,6 +36,17 @@ def test_alias_shares_data():
 def test_unknown_fixture():
     with pytest.raises(FixtureError):
         get_fixture("no_such_example")
+
+
+def test_check_all_fixtures_keys_each_fixture_by_its_own_name():
+    index = json.loads((_fixture_dir() / "index.json").read_text())
+    assert "ex3_9_chain_seed" in index["aliases"]
+    assert set(check_all_fixtures()) == set(index["fixtures"])
+
+
+def test_fixture_dir_is_beside_the_module(monkeypatch):
+    monkeypatch.delenv("SEMIGROUP_FIXTURES", raising=False)
+    assert _fixture_dir() == Path(numsgps.fixtures.__file__).parent / "fixtures"
 
 
 def test_all_fixtures_pass():

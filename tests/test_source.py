@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -391,3 +393,21 @@ def test_iinfo_scan_catches_a_leftover():
                                 "        return iinfo(self.dt)\nlimit = lambda dt: iinfo(dt).min\n"),
     }
     assert _iinfo_calls_in_function_bodies(trees) == ["core.py:4", "hilbert.py:4", "hilbert.py:5"]
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\nover two lines."""\n'
+        "import os  # a trailing comment leaves the line code\n"
+        "\n"
+        "# a comment line\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    return os.path.join(x,\n"
+        '                        "a",\n'
+        '                        "b")\n'
+    )
+    tool = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    out = subprocess.run([sys.executable, str(tool), str(tmp_path)], capture_output=True,
+                         text=True, check=True).stdout
+    assert [line.split() for line in out.splitlines()] == [["mod.py", "5"], ["total", "5"]]
