@@ -38,6 +38,8 @@ the values need.
 from __future__ import annotations
 
 import math
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -295,6 +297,7 @@ def _round_robin(glist: list[int]) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(min_gens), w
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class NumericalSemigroup:
     """Immutable numerical semigroup; build via :meth:`from_generators`.
 
@@ -302,39 +305,41 @@ class NumericalSemigroup:
     ``min_gens`` must be the minimal generators, ascending: the Hilbert rows
     read Ap(2M) off them.  :meth:`from_generators` minimalizes through the
     round robin, and the closed-form builders certify theirs with
-    :func:`_certify_generators`.
+    :func:`_certify_generators`.  Equality and hash read ``min_gens`` alone.
     """
 
-    __slots__ = ("min_gens", "w", "frobenius", "conductor", "genus")
-
     min_gens: tuple[int, ...]
-    w: np.ndarray
-    frobenius: int
-    conductor: int
-    genus: int
+    w: np.ndarray = field(compare=False)
+    multiplicity: int = field(init=False, compare=False)
+    embedding_dimension: int = field(init=False, compare=False)
+    frobenius: int = field(init=False, compare=False)
+    conductor: int = field(init=False, compare=False)
+    genus: int = field(init=False, compare=False)
 
-    def __init__(self, min_gens: tuple[int, ...], w: np.ndarray):
-        w.setflags(write=False)
-        object.__setattr__(self, "min_gens", min_gens)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "frobenius", int(w.max()) - min_gens[0])
-        object.__setattr__(self, "conductor", self.frobenius + 1)
+    def __post_init__(self):
+        self.w.setflags(write=False)
+        e, frobenius = self.min_gens[0], int(self.w.max()) - self.min_gens[0]
         # Selmer's formula: the class r mod e holds w[r] // e gaps
-        object.__setattr__(self, "genus", int((w // min_gens[0]).sum()))
+        for name, value in (("multiplicity", e), ("embedding_dimension", len(self.min_gens)),
+                            ("frobenius", frobenius), ("conductor", frobenius + 1),
+                            ("genus", int((self.w // e).sum()))):
+            object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("NumericalSemigroup is immutable")
+    def __reduce__(self):
+        # through __post_init__, so a copy's or an unpickled vector is read-only again
+        return NumericalSemigroup, (self.min_gens, self.w)
 
     @classmethod
     def from_generators(cls, gens: Iterable[int]) -> "NumericalSemigroup":
         """Build the semigroup generated by ``gens``.
 
         Raises GcdError when gcd(gens) != 1, ValueError on empty or nonpositive
-        input and SizeLimitError, a ValueError too, on oversized input.  The
+        input, SizeLimitError, a ValueError too, on oversized input and
+        TypeError on a generator that is no integer, an integral float too.  The
         stored generating system is minimalized, so redundant input generators
         are discarded.
         """
-        glist = sorted(set(int(g) for g in gens))
+        glist = sorted(set(map(operator.index, gens)))
         if not glist:
             raise ValueError("at least one generator is required")
         if glist[0] <= 0:
@@ -345,14 +350,6 @@ class NumericalSemigroup:
         return cls(*_round_robin(glist))
 
     # -- primitive queries -------------------------------------------------
-
-    @property
-    def multiplicity(self) -> int:
-        return self.min_gens[0]
-
-    @property
-    def embedding_dimension(self) -> int:
-        return len(self.min_gens)
 
     @property
     def gaps(self) -> tuple[int, ...]:
@@ -375,14 +372,6 @@ class NumericalSemigroup:
         return np.flatnonzero(self.members_up_to(bound)).tolist()
 
     # -- value semantics ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NumericalSemigroup):
-            return NotImplemented
-        return self.min_gens == other.min_gens
-
-    def __hash__(self) -> int:
-        return hash(self.min_gens)
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup{self.min_gens}"

@@ -17,6 +17,7 @@ S.w and reads no PF.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -40,19 +41,22 @@ def _below(w: np.ndarray, threshold: int) -> np.ndarray:
     return -((w - threshold) // len(w))
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class RelativeIdeal:
     """Immutable relative ideal over a fixed ambient numerical semigroup.
 
     ``RelativeIdeal(S, elements, threshold)`` is the set of the given
     elements below ``threshold`` plus every integer from ``threshold`` on; it
-    raises ValueError unless that set is closed under adding S.
+    raises ValueError unless that set is closed under adding S, and TypeError
+    on an element or threshold that is no integer.  ``w`` is read-only.
     """
 
-    __slots__ = ("ambient", "w")
+    ambient: NumericalSemigroup
+    w: np.ndarray
 
     def __init__(self, ambient: NumericalSemigroup, elements: Iterable[int], threshold: int):
         e = ambient.multiplicity
-        threshold, *elements = map(int, (threshold, *elements))
+        threshold, *elements = map(operator.index, (threshold, *elements))
         _check_range(threshold, *elements)
         given = np.array(elements, dtype=np.int64)
         # with no flag np.unique imports numpy.ma on its first call (about 6 ms)
@@ -82,8 +86,9 @@ class RelativeIdeal:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "w", w)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("RelativeIdeal is immutable")
+    def __reduce__(self):
+        # through _set, so a copy's or an unpickled vector is read-only again
+        return RelativeIdeal._of, (self.ambient, self.w)
 
     # -- queries -------------------------------------------------------------
 
@@ -151,8 +156,8 @@ class RelativeIdeal:
 
 
 def ideal_generated_by(S: NumericalSemigroup, gens: Iterable[int]) -> RelativeIdeal:
-    """The relative ideal union of g + S over the given integers g."""
-    glist = sorted(set(int(g) for g in gens))
+    """The relative ideal union of g + S over the given integers g; TypeError on any other g."""
+    glist = sorted(set(map(operator.index, gens)))
     if not glist:
         raise ValueError("an ideal needs at least one generator")
     _check_range(glist[0], glist[-1])

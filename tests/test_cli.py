@@ -1,10 +1,13 @@
+import hashlib
 import json
+import shutil
 
 import pytest
 
 import numsgps
 from numsgps import SemigroupError, cli
 from numsgps.cli import main
+from numsgps.fixtures import _fixture_dir
 
 from conftest import run_capped_cli
 
@@ -289,3 +292,31 @@ def test_bare_package_error_escapes_main(monkeypatch):
     _raising_info(monkeypatch, Stray)
     with pytest.raises(Stray, match="planted"):
         main(["info", "2,3"])
+
+
+def test_construct_verify_exits_4_on_a_failed_claim(monkeypatch, capsys):
+    monkeypatch.setattr(numsgps.construction, "pseudo_frobenius", lambda S: (0,))
+    code, out, _ = run(capsys, "construct", "--ell", "4", "--verify")
+    assert code == 4
+    assert "certificate: FAILURES\n" in out
+    assert "  [FAIL] pf_max: expected 100, got 0\n" in out
+    code, out, _ = run(capsys, "construct", "--ell", "4", "--verify", "--json")
+    assert code == 4
+    assert json.loads(out)["certificate"]["all_passed"] is False
+
+
+def test_check_fixtures_exits_4_on_a_failed_claim(tmp_path, monkeypatch, capsys):
+    work = tmp_path / "fixtures"
+    shutil.copytree(_fixture_dir(), work)
+    target = work / "ex3_11_small.json"
+    data = json.loads(target.read_text())
+    data["expected"]["type"] = 14
+    target.write_text(json.dumps(data))
+    index = json.loads((work / "index.json").read_text())
+    index["fixtures"]["ex3_11_small"]["sha256"] = hashlib.sha256(target.read_bytes()).hexdigest()
+    (work / "index.json").write_text(json.dumps(index))
+    monkeypatch.setenv("SEMIGROUP_FIXTURES", str(work))
+    code, out, _ = run(capsys, "check-fixtures")
+    assert code == 4
+    assert "ex3_11_small: FAIL" in out
+    assert "  FAIL type: expected 14, got 13\n" in out

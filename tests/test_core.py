@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import json
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +12,12 @@ from hypothesis import strategies as st
 
 import numsgps.core
 from numsgps import (
-    CertificationError, GcdError, NumericalSemigroup, RelativeIdeal, SemigroupError, SizeLimitError,
-    construct_asd, hilbert_function, is_symmetric, layer_sets, order_table, parse_generators,
-    pseudo_frobenius, semigroup_as_ideal,
+    AperyTable, CertificationError, ChainStep, Claim, ConstructionCertificate, ConstructionData,
+    Fixture, FixtureIntegrityError, GcdError, HilbertFunction, LayerSets, NariPartition,
+    NumericalSemigroup, RelativeIdeal, SemigroupError, SizeLimitError, WitnessReport,
+    construct_asd, gorenstein_witness, hilbert_function, ideal_generated_by, ideal_sum,
+    is_symmetric, layer_sets, load_registry, maximal_ideal, order_table, parse_generators,
+    predicted_duplication_hilbert, pseudo_frobenius, semigroup_as_ideal, standard_canonical_ideal,
 )
 from numsgps.cli import main
 from numsgps.core import (
@@ -84,6 +92,55 @@ def test_immutability_and_equality():
     assert S == T and hash(S) == hash(T)
     with pytest.raises(AttributeError):
         S.frobenius = 7
+
+
+def _vectors(value) -> list[np.ndarray]:
+    """Every Apery vector a semigroup, an ideal or a witness report holds."""
+    if isinstance(value, NumericalSemigroup):
+        return [value.w]
+    if isinstance(value, RelativeIdeal):
+        return [value.w, value.ambient.w]
+    return [value.final.w, *(step.semigroup.w for step in value.chain)]
+
+
+def test_semigroups_ideals_and_reports_are_frozen_values_that_copy_and_pickle():
+    S = construct_asd(4).semigroup
+    E = maximal_ideal(S)
+    originals = [S, E, standard_canonical_ideal(S).shift(-3), gorenstein_witness(4, 1)]
+    for original in originals:
+        for copied in (copy.copy(original), copy.deepcopy(original),
+                       pickle.loads(pickle.dumps(original))):
+            assert copied == original
+            if not isinstance(original, WitnessReport):
+                assert hash(copied) == hash(original)
+            assert not any(w.flags.writeable for w in _vectors(copied))
+    for value, name in ((S, "w"), (S, "multiplicity"), (E, "w")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    values = (NumericalSemigroup, RelativeIdeal, HilbertFunction, AperyTable, LayerSets,
+              NariPartition, ChainStep, WitnessReport, ConstructionData, Claim,
+              ConstructionCertificate, Fixture)
+    assert all(dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+               for cls in values)
+
+
+@pytest.mark.parametrize("call", [
+    lambda S: NumericalSemigroup.from_generators([4.5, 7]),
+    lambda S: NumericalSemigroup.from_generators([4.0, 7]),
+    lambda S: RelativeIdeal(S, [0.5, 4], 7),
+    lambda S: RelativeIdeal(S, [0, 4], 7.0),
+    lambda S: ideal_generated_by(S, [2.7]),
+], ids=["generator", "integral_generator", "element", "threshold", "ideal_generator"])
+def test_non_integral_input_raises_type_error(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(NumericalSemigroup.from_generators([4, 7]))
+
+
+def test_numpy_integers_pass_as_python_integers():
+    S = NumericalSemigroup.from_generators(np.array([4, 7]))
+    assert S.min_gens == (4, 7) and all(type(g) is int for g in S.min_gens)
+    assert ideal_generated_by(S, np.array([2])) == ideal_generated_by(S, [2])
+    assert RelativeIdeal(S, np.array([0, 4]), np.int64(7)).small == (0, 4)
 
 
 def test_members_up_to_matches_contains():
@@ -404,3 +461,32 @@ def test_size_guards_raise_the_typed_error(call, message):
     with pytest.raises(SizeLimitError, match="exceeds? the supported") as info:
         call()
     assert str(info.value).startswith(message)
+
+
+def _alias_to_an_unknown_fixture(tmp_path):
+    (tmp_path / "index.json").write_text(json.dumps({"fixtures": {}, "aliases": {"a": "b"}}))
+    return load_registry(str(tmp_path))
+
+
+_S47 = NumericalSemigroup.from_generators([4, 7])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: hilbert_function(_S47, 3).value_at(-1), ValueError,
+     "Hilbert function is defined for h >= 0"),
+    (lambda tmp: layer_sets(_S47, 1), ValueError, "k_max must be at least 2"),
+    (lambda tmp: predicted_duplication_hilbert(hilbert_function(_S47, 3), 1, 0), ValueError,
+     "h_max must be at least 1"),
+    (lambda tmp: ideal_generated_by(_S47, []), ValueError, "an ideal needs at least one generator"),
+    (lambda tmp: ideal_sum(maximal_ideal(_S47),
+                           maximal_ideal(NumericalSemigroup.from_generators([3, 5]))),
+     ValueError, "ideal sum requires a common ambient semigroup"),
+    (lambda tmp: RelativeIdeal(_S47, [0, 4], 8), ValueError,
+     "not an ideal: 7 is a member plus a generator but not a member"),
+    (_alias_to_an_unknown_fixture, FixtureIntegrityError,
+     "alias 'a' points at unknown fixture 'b'"),
+], ids=["value_at", "layer_sets", "predicted", "no_generators", "ideal_sum", "not_closed",
+        "alias"])
+def test_input_errors_name_what_is_wrong(tmp_path, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
