@@ -9,12 +9,15 @@ Exit codes follow the base class of the exception that ends a subcommand:
 0 success, 2 a ``ValueError`` (unparsable or invalid input), 3 a
 ``DomainError`` (excluded level, invalid duplication data), 4 an
 ``AssertionError`` (a failed internal certificate or a fixture regression).
+A reader that closes stdout early, as ``| head`` does, ends it with exit 1
+and no traceback.  ``python -m numsgps`` runs the same command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -278,7 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not in the flush at exit
+        return status
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

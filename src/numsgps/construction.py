@@ -11,25 +11,27 @@ Levels congruent to 14 mod 22 or 35 mod 46 are excluded: exactly there
 gcd(e, n1, n2) > 1 and no numerical semigroup arises.
 
 The semigroup is built from its Apery set, which the paper gives in closed
-form: 0, k*n1 for k <= ell, n2, t1, t2 and the s and r families.  Each
-member fills its class mod e, and a one-gather certificate checks that the
+form and which is read off the generating set Gamma: 0, the generators other
+than e (order 1), 2*n1, n1 + n2 and 2*n2 (order 2) and k*n1 for 3 <= k <= ell
+(order k), the strata that :func:`verify_construction` claims.  Each member
+fills its class mod e, and a one-gather certificate checks that the
 generating set generates exactly that Apery set and that no generator is a
 sum of two others.  So the family claims of :func:`verify_construction` are
 settled when the semigroup is built: a wrong family raises CertificationError,
 an AssertionError (CLI exit 4), as a redundant generator does, and never
-passes silently.
+passes silently.  The claims are :class:`numsgps.core.Claim` records, the
+type the fixture checks use too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from .core import (
-    LISTING_LIMIT, DomainError, NumericalSemigroup, SizeLimitError, _certify,
+    LISTING_LIMIT, Claim, DomainError, NumericalSemigroup, SizeLimitError, _certify,
     _certify_generators, _check_size,
 )
 from .hilbert import apery_table, decrease_levels, hilbert_through_stabilization
@@ -102,17 +104,12 @@ class ConstructionData:
         return data
 
 
-def _residue_family(
-    ell: int, n1: int, n2: int, t1: int, t2: int,
-    s_family: dict[tuple[int, int], int], r_family: dict[tuple[int, int], int],
-) -> tuple[int, ...]:
-    """The nonzero Apery elements, ascending: k*n1 (k <= ell), n2, both families, t1, t2."""
-    out = {k * n1 for k in range(1, ell + 1)}
-    out.add(n2)
-    out.update(s_family.values())
-    out.update(r_family.values())
-    out.update({t1, t2})
-    return tuple(sorted(out))
+def _apery_family(gamma: tuple[int, ...], ell: int, n1: int, n2: int) -> tuple[int, ...]:
+    """The nonzero Apery elements: Gamma without e, its least member, then the strata of order >= 2.
+
+    Those are k*n1 for 2 <= k <= ell, n1 + n2 and 2*n2.
+    """
+    return gamma[1:] + tuple(k * n1 for k in range(2, ell + 1)) + (n1 + n2, 2 * n2)
 
 
 def construct_asd(ell: int) -> ConstructionData:
@@ -163,7 +160,7 @@ def construct_asd(ell: int) -> ConstructionData:
     _certify(len(gamma) == e - ell - 1, "generating families collide unexpectedly")
 
     where = f"construction at level {ell}"
-    family = np.array(_residue_family(ell, n1, n2, t1, t2, s_family, r_family), dtype=np.int64)
+    family = np.array(_apery_family(gamma, ell, n1, n2), dtype=np.int64)
     classes = family % e
     hits = np.bincount(classes, minlength=e)
     _certify(hits[0] == 0 and (hits[1:] == 1).all(),
@@ -190,33 +187,6 @@ def construct_asd(ell: int) -> ConstructionData:
 # ---------------------------------------------------------------------------
 # verification certificate
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Claim:
-    name: str
-    expected: Any
-    actual: Any
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.actual
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": _jsonable(self.expected),
-            "actual": _jsonable(self.actual),
-            "pass": self.passed,
-        }
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
 
 @dataclass(frozen=True)
 class ConstructionCertificate:

@@ -33,6 +33,11 @@ narrow dtypes).  The min-plus steps return int64; the rows stay inside the
 Hilbert walk, which hands out Python ints and int64 orders.  Index
 arithmetic stays in int64: a class index can reach e, and e may exceed what
 the values need.
+
+Core also holds what the result types share: :class:`Claim`, one checked
+property with its expected and actual value, which the construction
+certificate and the fixture checks both list, and :func:`_jsonable`, the one
+JSON encoder behind their ``to_json`` (tuples become lists, keys strings).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -93,6 +98,39 @@ def _certify(ok: bool, message: str) -> None:
     """Fail a documented cross-check; an explicit raise also fires under ``python -O``."""
     if not ok:
         raise CertificationError(message)
+
+
+def _integer(x) -> int:
+    """x as a Python int: ``operator.index``, which refuses floats, and TypeError on a bool too."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
+def _jsonable(value):
+    """``value`` with every tuple as a list and every dict key as a string, nested alike."""
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    return value
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One checked property of a result: the value it should have and the value found."""
+
+    name: str
+    expected: Any
+    actual: Any
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.actual
+
+    def to_json(self) -> dict:
+        return _jsonable({"name": self.name, "expected": self.expected, "actual": self.actual,
+                          "pass": self.passed})
 
 
 def _members(w: np.ndarray, x):
@@ -335,11 +373,11 @@ class NumericalSemigroup:
 
         Raises GcdError when gcd(gens) != 1, ValueError on empty or nonpositive
         input, SizeLimitError, a ValueError too, on oversized input and
-        TypeError on a generator that is no integer, an integral float too.  The
-        stored generating system is minimalized, so redundant input generators
-        are discarded.
+        TypeError on a generator that is no integer, an integral float or a
+        bool too.  The stored generating system is minimalized, so redundant
+        input generators are discarded.
         """
-        glist = sorted(set(map(operator.index, gens)))
+        glist = sorted(set(map(_integer, gens)))
         if not glist:
             raise ValueError("at least one generator is required")
         if glist[0] <= 0:

@@ -4,7 +4,8 @@ Each fixture is a JSON data file shipped with the package: a generator list
 plus the invariants it is expected to satisfy (type, Hilbert prefix, symmetry
 flags, Apery strata, ...).  An index file pins a sha256 per fixture, so an
 edited data file is rejected at load time, and :func:`check_fixture`
-recomputes every pinned invariant from scratch.  The data files live in the
+recomputes every pinned invariant from scratch, as a list of
+:class:`numsgps.core.Claim` records.  The data files live in the
 ``fixtures`` directory beside this module; the environment variable
 ``SEMIGROUP_FIXTURES`` points the loader at an alternative directory.
 
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .construction import Claim
-from .core import NumericalSemigroup, SemigroupError
+from .core import Claim, NumericalSemigroup, SemigroupError
 from .hilbert import apery_table, decrease_levels, hilbert_through_stabilization
 from .ideals import is_almost_symmetric, is_symmetric, pseudo_frobenius, semigroup_type
 

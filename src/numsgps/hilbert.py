@@ -57,7 +57,7 @@ import numpy as np
 
 from .core import (
     _GATHER_CELLS, LISTING_LIMIT, NotMember, NumericalSemigroup, SemigroupError, SizeLimitError,
-    _certify, _maximal, _min_plus, _min_plus_steps, _narrow,
+    _certify, _jsonable, _maximal, _min_plus, _min_plus_steps, _narrow,
 )
 
 
@@ -393,11 +393,7 @@ class AperyTable:
         return self.strata.get(k, ())
 
     def to_json(self) -> dict:
-        return {
-            "elements": list(self.elements),
-            "orders": {str(a): o for a, o in sorted(self.orders.items())},
-            "strata": {str(k): list(v) for k, v in sorted(self.strata.items())},
-        }
+        return _jsonable({"elements": self.elements, "orders": self.orders, "strata": self.strata})
 
 
 def apery_table(S: NumericalSemigroup) -> AperyTable:
@@ -434,14 +430,7 @@ class LayerSets:
     d_refined: dict[int, dict[int, tuple[int, ...]]]
 
     def to_json(self) -> dict:
-        return {
-            "C": {str(k): list(v) for k, v in sorted(self.c_sets.items())},
-            "D": {str(k): list(v) for k, v in sorted(self.d_sets.items())},
-            "D_t": {
-                str(k): {str(t): list(v) for t, v in sorted(sub.items())}
-                for k, sub in sorted(self.d_refined.items())
-            },
-        }
+        return _jsonable({"C": self.c_sets, "D": self.d_sets, "D_t": self.d_refined})
 
 
 def layer_sets(S: NumericalSemigroup, k_max: int) -> LayerSets:

@@ -17,7 +17,6 @@ S.w and reads no PF.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -25,8 +24,8 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    APERY_LIMIT, NumericalSemigroup, SizeLimitError, _certify, _maximal, _members, _min_plus,
-    _per_class,
+    APERY_LIMIT, NumericalSemigroup, SizeLimitError, _certify, _integer, _maximal, _members,
+    _min_plus, _per_class,
 )
 
 
@@ -48,7 +47,7 @@ class RelativeIdeal:
     ``RelativeIdeal(S, elements, threshold)`` is the set of the given
     elements below ``threshold`` plus every integer from ``threshold`` on; it
     raises ValueError unless that set is closed under adding S, and TypeError
-    on an element or threshold that is no integer.  ``w`` is read-only.
+    on an element or threshold that is no integer, a bool included.  ``w`` is read-only.
     """
 
     ambient: NumericalSemigroup
@@ -56,7 +55,7 @@ class RelativeIdeal:
 
     def __init__(self, ambient: NumericalSemigroup, elements: Iterable[int], threshold: int):
         e = ambient.multiplicity
-        threshold, *elements = map(operator.index, (threshold, *elements))
+        threshold, *elements = map(_integer, (threshold, *elements))
         _check_range(threshold, *elements)
         given = np.array(elements, dtype=np.int64)
         # with no flag np.unique imports numpy.ma on its first call (about 6 ms)
@@ -157,7 +156,7 @@ class RelativeIdeal:
 
 def ideal_generated_by(S: NumericalSemigroup, gens: Iterable[int]) -> RelativeIdeal:
     """The relative ideal union of g + S over the given integers g; TypeError on any other g."""
-    glist = sorted(set(map(operator.index, gens)))
+    glist = sorted(set(map(_integer, gens)))
     if not glist:
         raise ValueError("an ideal needs at least one generator")
     _check_range(glist[0], glist[-1])

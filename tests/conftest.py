@@ -198,12 +198,21 @@ def random_semigroup(rng: random.Random, max_mult: int = 9, genus_cap: int | Non
     raise AssertionError("could not sample a random semigroup")
 
 
-def run_script(script: str, *flags: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that imports this checkout of numsgps."""
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this checkout of numsgps.
+
+    Output is captured unless ``kwargs`` redirect it.
+    """
     src = str(Path(numsgps.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, text=True, timeout=120, **kwargs)
+
+
+def run_script(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout of numsgps."""
+    return run_python(*flags, "-c", script)
 
 
 def run_capped(script: str, cap: int = 1 << 30) -> subprocess.CompletedProcess:

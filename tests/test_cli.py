@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 
 import pytest
@@ -9,7 +10,7 @@ from numsgps import SemigroupError, cli
 from numsgps.cli import main
 from numsgps.fixtures import _fixture_dir
 
-from conftest import run_capped_cli
+from conftest import run_capped_cli, run_python
 
 LARGE_CANONICAL = ["duplicate", "10007,10009", "--ideal", "canonical", "--b", "10007",
                    "--hmax", "3"]
@@ -320,3 +321,21 @@ def test_check_fixtures_exits_4_on_a_failed_claim(tmp_path, monkeypatch, capsys)
     assert code == 4
     assert "ex3_11_small: FAIL" in out
     assert "  FAIL type: expected 14, got 13\n" in out
+
+
+def test_python_m_runs_the_cli(capsys):
+    proc = run_python("-m", "numsgps", "info", "4,5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, "info", "4,5")[1]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write, as after an early `| head`
+    try:
+        proc = run_python("-c", "import sys\nfrom numsgps.cli import main\n"
+                          "sys.exit(main(['info', '@ex3_5_h2']))\n", stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -174,18 +174,19 @@ def test_construction_builds_no_semigroup_from_generators(monkeypatch):
 
 # level 6: e = 58, and 6 * n1 is the largest family member
 _LIFT_TOP = (
-    "family = numsgps.construction._residue_family\n"
-    "def lifted(ell, n1, *rest):\n"
-    "    return tuple(x + 58 if x == ell * n1 else x for x in family(ell, n1, *rest))\n"
-    "numsgps.construction._residue_family = lifted"
+    "family = numsgps.construction._apery_family\n"
+    "def lifted(gamma, ell, n1, n2):\n"
+    "    return tuple(x + 58 if x == ell * n1 else x for x in family(gamma, ell, n1, n2))\n"
+    "numsgps.construction._apery_family = lifted"
 )
 
 
 def test_wrong_family_raises(monkeypatch):
-    family = numsgps.construction._residue_family
+    family = numsgps.construction._apery_family
     monkeypatch.setattr(
-        numsgps.construction, "_residue_family",
-        lambda ell, n1, *rest: tuple(x + 58 if x == ell * n1 else x for x in family(ell, n1, *rest)),
+        numsgps.construction, "_apery_family",
+        lambda gamma, ell, n1, n2: tuple(x + 58 if x == ell * n1 else x
+                                         for x in family(gamma, ell, n1, n2)),
     )
     with pytest.raises(AssertionError, match="construction at level 6: generators do not generate"):
         construct_asd(6)
@@ -198,8 +199,8 @@ def test_wrong_family_fires_under_python_O():
 
 
 def test_family_must_cover_each_class_once(monkeypatch):
-    family = numsgps.construction._residue_family
-    monkeypatch.setattr(numsgps.construction, "_residue_family", lambda *a: family(*a)[1:])
+    family = numsgps.construction._apery_family
+    monkeypatch.setattr(numsgps.construction, "_apery_family", lambda *a: family(*a)[1:])
     with pytest.raises(AssertionError, match="construction at level 6: the Apery family"):
         construct_asd(6)
 
@@ -242,7 +243,7 @@ def test_excluded_level_family_fires_under_python_O():
 def test_construction_size_guard(monkeypatch):
     monkeypatch.setattr(numsgps.core, "MULTIPLICITY_LIMIT", 31)
     # the guard fires before the family is built
-    monkeypatch.setattr(numsgps.construction, "_residue_family", None)
+    monkeypatch.setattr(numsgps.construction, "_apery_family", None)
     with pytest.raises(ValueError, match="multiplicity 32 exceeds"):
         construct_asd(4)
 

@@ -15,9 +15,10 @@ from numsgps import (
     AperyTable, CertificationError, ChainStep, Claim, ConstructionCertificate, ConstructionData,
     Fixture, FixtureIntegrityError, GcdError, HilbertFunction, LayerSets, NariPartition,
     NumericalSemigroup, RelativeIdeal, SemigroupError, SizeLimitError, WitnessReport,
-    construct_asd, gorenstein_witness, hilbert_function, ideal_generated_by, ideal_sum,
-    is_symmetric, layer_sets, load_registry, maximal_ideal, order_table, parse_generators,
-    predicted_duplication_hilbert, pseudo_frobenius, semigroup_as_ideal, standard_canonical_ideal,
+    apery_table, check_fixture, construct_asd, get_fixture, gorenstein_witness, hilbert_function,
+    ideal_generated_by, ideal_sum, is_symmetric, layer_sets, load_registry, maximal_ideal,
+    nari_partition, order_table, parse_generators, predicted_duplication_hilbert,
+    pseudo_frobenius, semigroup_as_ideal, standard_canonical_ideal, verify_construction,
 )
 from numsgps.cli import main
 from numsgps.core import (
@@ -124,6 +125,19 @@ def test_semigroups_ideals_and_reports_are_frozen_values_that_copy_and_pickle():
                for cls in values)
 
 
+def test_every_result_survives_a_json_round_trip():
+    data = construct_asd(4)
+    S = data.semigroup
+    results = [S, standard_canonical_ideal(S), hilbert_function(S, 6), apery_table(S),
+               layer_sets(S, 5), nari_partition(S), data, verify_construction(4),
+               gorenstein_witness(4, 1)]
+    payloads = [x.to_json() for x in results]
+    payloads += [[c.to_json() for c in check_fixture(get_fixture(name))]
+                 for name in ("ex2_10_l4", "ex3_5_h2")]
+    for payload in payloads:
+        assert json.loads(json.dumps(payload)) == payload
+
+
 @pytest.mark.parametrize("call", [
     lambda S: NumericalSemigroup.from_generators([4.5, 7]),
     lambda S: NumericalSemigroup.from_generators([4.0, 7]),
@@ -133,6 +147,18 @@ def test_semigroups_ideals_and_reports_are_frozen_values_that_copy_and_pickle():
 ], ids=["generator", "integral_generator", "element", "threshold", "ideal_generator"])
 def test_non_integral_input_raises_type_error(call):
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(NumericalSemigroup.from_generators([4, 7]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda S: NumericalSemigroup.from_generators([True, 3]),
+    lambda S: ideal_generated_by(S, [True]),
+    lambda S: RelativeIdeal(S, [False, 4], 7),
+], ids=["from_generators", "ideal_generated_by", "RelativeIdeal"])
+def test_bool_input_raises_type_error(call):
+    # operator.index(True) is 1: a bool would otherwise pass as a generator, as the CLI's
+    # parse_generators refuses true/false
+    with pytest.raises(TypeError, match="is a bool, not an integer"):
         call(NumericalSemigroup.from_generators([4, 7]))
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import warnings
@@ -1012,3 +1013,18 @@ def test_interleaved_calls_resume_the_walk(gens, calls):
             H = hilbert_function(S, call)
             assert list(H.values) == brute[: call + 1]
             assert H.stable_from == (start if start <= call else None)
+
+
+def test_apery_table_json_text():
+    # S.w is [0, 16, 7, 18, 9]: the orders and strata are keyed ascending, not by class
+    table = apery_table(NumericalSemigroup.from_generators([5, 7, 9]))
+    assert json.dumps(table.to_json()) == (
+        '{"elements": [0, 7, 9, 16, 18], "orders": {"0": 0, "7": 1, "9": 1, "16": 2, "18": 2},'
+        ' "strata": {"1": [7, 9], "2": [16, 18]}}'
+    )
+
+
+def test_stable_value_is_none_short_of_stabilization():
+    S = NumericalSemigroup.from_generators([4, 5])  # H = 1, 2, 3, 4, 4, ...
+    assert hilbert_function(S, 2).stable_value is None
+    assert hilbert_function(S, 3).stable_value == 4

@@ -471,3 +471,22 @@ def test_ideal_constructor_imports_no_masked_arrays():
                       "print('numpy.ma' in sys.modules)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_nari_partition_json_text():
+    # PF(<5, 7, 9>) = {11, 13}: B holds 11 + 5, A the rest of the Apery set
+    part = nari_partition(NumericalSemigroup.from_generators([5, 7, 9]))
+    assert part.to_json() == {"A": [0, 7, 9, 18], "B": [16]}
+
+
+def test_ideal_plus_is_the_ideal_sum():
+    S = NumericalSemigroup.from_generators([3, 5])
+    M, K = maximal_ideal(S), standard_canonical_ideal(S)
+    assert M + K == ideal_sum(M, K) == ideal_sum(K, M)
+    assert M + M == ideal_generated_by(S, [6, 8, 10])
+
+
+def test_ideal_equality_with_another_type_is_not_implemented():
+    M = maximal_ideal(NumericalSemigroup.from_generators([3, 5]))
+    assert M.__eq__(M.w) is NotImplemented
+    assert M != M.w.tolist() and M != 3
