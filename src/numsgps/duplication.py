@@ -33,6 +33,7 @@ from .core import (
     _certify,
     _certify_generators,
     _check_size,
+    _integer,
     _members,
     _min_plus,
     _relax,
@@ -298,8 +299,9 @@ def gorenstein_witness(level: int, drop: int) -> WitnessReport:
     symmetric and K + f + 1 is proper.  By induction on the chain, each H
     thus agrees with an independent route, ``stable_from`` included.  Each
     chain step's type, read off its PF numbers, must also be 2 t + 1 for the
-    parent's type t.
+    parent's type t.  TypeError on a level or drop that is no integer, or a bool.
     """
+    level, drop = _integer(level), _integer(drop)
     if level < 2:
         raise LevelTooSmall(f"level must be at least 2, got {level}")
     if is_excluded_level(level):

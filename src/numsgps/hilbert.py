@@ -36,14 +36,22 @@ no further than its listings need: it counts the Apery orders through
 k_max in its own pass, the way the full walk does, and takes none from
 ``apery_table``.  A call that asks a new level count walks again from W_0.
 ``_from_rows`` reads its values, and each caller runs its own
-certificate.  Public Hilbert calls rebuild the rows by
-their definition, W_{k+1} = min+(W_k, G) over all e classes and the minimal
-generators G, from W_0 = Ap(S), and insist that the H(k) read off those
-agree with the walk through ``stable_from`` (h_max without one).  That
-route knows neither the frontier nor W_2 off the generators, and its
-H(R-1) = e and H(R-2) < e pin R, so every later value.  The witness instead
-checks each duplication's rows against its parent's certified H pushed
-through the duplication formula, and runs the oracle on the seed only.
+certificate.  Public Hilbert calls build the rows a second time from their
+definition, W_{k+1} = min+(W_k, G) for the minimal generators G, from
+W_0 = Ap(S), and insist that the H(k) read off those agree with the walk
+through ``stable_from`` (h_max without one).  Two routes do so.  The dense
+oracle gathers all e classes at every level.  The frontier checker gathers
+them for W_1 and W_2 only; from there on it gathers its own frontier
+against G \\ {e} and certifies at every level that the row it builds is
+that min+, re-establishing the premises of the frontier argument as it
+goes.  Neither reads the walk's rows, its active generators or W_2 off the
+generators, and their H(R-1) = e and H(R-2) < e pin R, so every later
+value.  A cost estimate off the walk's counts picks the route: the
+checker where the frontiers are small, as on the larger levels of the
+construction, and the oracle for few generators, small e nu or few
+levels.  The witness instead checks each duplication's rows against its
+parent's certified H pushed through the duplication formula, and runs the
+second route on the seed only.
 """
 
 from __future__ import annotations
@@ -57,8 +65,14 @@ import numpy as np
 
 from .core import (
     _GATHER_CELLS, LISTING_LIMIT, NotMember, NumericalSemigroup, SemigroupError, SizeLimitError,
-    _certify, _jsonable, _maximal, _min_plus, _min_plus_steps, _narrow,
+    _certify, _integer, _jsonable, _maximal, _min_plus, _min_plus_steps, _narrow,
 )
+
+
+# The frontier checker's cost per gathered cell and its fixed cost per level, both in cells of
+# the dense oracle, fitted by timing both routes on 175 semigroups: see _oracle_checked.
+_CHECKER_CELL_COST = 14
+_CHECKER_LEVEL_COST = 7000
 
 
 class NotStabilized(SemigroupError, ValueError):
@@ -268,6 +282,69 @@ def hilbert_by_set_construction(S: NumericalSemigroup, h_max: int) -> list[int]:
     return [(nxt - row) % (1 << 64) // S.multiplicity for row, nxt in zip(sums, sums[1:])]
 
 
+def _frontier_checked(S: NumericalSemigroup, h_max: int) -> list[int]:
+    """H(0..h_max) off rows W_k it builds and proves equal to min+(W_{k-1}, G), from W_0 = S.w.
+
+    It assumes only W_0 = Ap(S) and (k+1)M = kM + G, as the oracle does.
+    W_1 and W_2 are min+ steps over all e classes.  From there on, with
+    Z_k = {s : W_k[s] = W_{k-1}[s]} the frontier, it gathers every s in Z_k
+    against every g in G \\ {e} and certifies that
+    gap = W_k[(s + g) mod e] - g - W_k[s] is at most 0.  gap is 0 mod e, so
+    gap < 0 means W_k[s] + g >= W_k[r] + e for r = (s + g) mod e.  The
+    classes hit with gap = 0 keep W_{k+1}[r] = W_k[r] and form Z_{k+1}, and
+    every other class rises by e.  That W_{k+1} is min+(W_k, G): each entry
+    is attained, by a hit or by g = e, and W_k[s] + g >= W_{k+1}[r] holds
+    for every s and g: on Z_k by the certificate, for g = e as
+    W_{k+1} <= W_k + e, and off Z_k, where W_k[s] = W_{k-1}[s] + e, by the
+    same inequality one level down, plus e.  So each level rests on two
+    premises about the level before: its rises lie in {0, e}, and its
+    inequality holds.  For W_2, a min+ step, the inequality holds and the
+    rises are checked; from W_3 on, the checker's own rows carry both by
+    construction.  It reads neither the walk's rows, its active generators
+    nor W_2 off the generators.  H(k) is e - |Z_{k+1}|.
+
+    The rows are kept as offsets D_k = W_k - k e, in [0, max(W_0)], so gap
+    lies in [-max(G) - max(W_0), max(W_0)], which sets the dtype.  Besides
+    S.w it holds W_1 while the kernel builds W_2 in its own rows, 35 e bytes
+    at the peak by tracemalloc on <2**20 - 3, 2**20 - 1>, where the oracle
+    holds 24; then D, two masks, one frontier of class indices and the
+    gather blocks.
+    """
+    e, G = S.multiplicity, S.min_gens
+    rows, counts = (S.w, *_min_plus_steps(S.w, G, 2)), []
+    for row, nxt in zip(rows, rows[1:]):
+        rise = nxt - row
+        inZ = rise == 0
+        _certify((inZ | (rise == e)).all(),
+                 "frontier checker: a min+ step rose by other than 0 or e")
+        counts.append(e - int(np.count_nonzero(inZ)))
+        del rise
+    top = int(S.w.max())
+    dt = _narrow(-G[-1] - top, top)
+    gens = np.array(G[1:], dtype=np.int64)
+    steps, shifts = gens % e, gens.astype(dt)
+    D, e_dt = (rows[2] - 2 * e).astype(dt), dt(e)
+    del rows, row, nxt
+    kept, per_block = np.empty(e, dtype=bool), max(1, _GATHER_CELLS // len(G))
+    for k in range(2, h_max + 1):
+        frontier = inZ.nonzero()[0]
+        if k > 2:
+            D[frontier] -= e_dt  # D_k, from D_{k-1} and Z_k
+        kept.fill(False)
+        for lo in range(0, len(frontier), per_block):
+            s = frontier[lo : lo + per_block, None]
+            r = s + steps
+            gap = np.take(D, r, mode="wrap")  # r < 2e, so wrapping names the class r mod e
+            gap -= shifts
+            gap -= D[s]
+            _certify(gap.max() <= 0, "frontier checker: a frontier entry plus a generator lies"
+                                     " below its row")
+            kept.put(r[gap == 0], True, mode="wrap")
+        inZ, kept = kept, inZ
+        counts.append(e - int(np.count_nonzero(inZ)))
+    return counts[: h_max + 1]
+
+
 # ---------------------------------------------------------------------------
 # Hilbert function
 # ---------------------------------------------------------------------------
@@ -324,23 +401,39 @@ def _from_rows(S: NumericalSemigroup, h_max: int, extend: bool) -> HilbertFuncti
 
 
 def _oracle_checked(S: NumericalSemigroup, H: HilbertFunction) -> HilbertFunction:
-    """H, once the oracle agrees through ``stable_from`` (h_max without one), which pins R."""
+    """H, once a second route agrees through ``stable_from`` (h_max without one), which pins R.
+
+    Both routes gather two levels of e nu cells.  The frontier checker
+    replaces the dense oracle where its n - 1 further levels, which gather
+    the frontiers Z_2..Z_n, of sizes e - H(1), ..., e - H(n-1), times
+    nu - 1, cost less than the oracle's n - 1 further levels of e nu cells,
+    a checker cell counted as _CHECKER_CELL_COST oracle cells plus
+    _CHECKER_LEVEL_COST a level.  The sizes are read off H, the walk's
+    counts, so the estimate only picks a route, and both routes are exact.
+    """
     n = H.h_max if H.stable_from is None else H.stable_from
-    _certify(list(H.values[: n + 1]) == hilbert_by_set_construction(S, n),
-             "Apery-row and set-construction Hilbert values disagree")
+    e, nu = S.multiplicity, S.embedding_dimension
+    cells = sum(e - h for h in H.values[1:n]) * (nu - 1)
+    if n >= 3 and _CHECKER_CELL_COST * cells + _CHECKER_LEVEL_COST * (n - 1) < (n - 1) * e * nu:
+        route, second = "frontier-checked", _frontier_checked
+    else:
+        route, second = "set-construction", hilbert_by_set_construction
+    _certify(list(H.values[: n + 1]) == second(S, n),
+             f"Apery-row and {route} Hilbert values disagree")
     return H
 
 
 def hilbert_function(S: NumericalSemigroup, h_max: int) -> HilbertFunction:
-    """Exact H(0..h_max) with a certified ``stable_from`` marker."""
+    """Exact H(0..h_max) with a certified ``stable_from`` marker; TypeError on a non-integer."""
+    h_max = _integer(h_max)
     if h_max < 1:
         raise ValueError("h_max must be at least 1")
     return _oracle_checked(S, _from_rows(S, h_max, extend=False))
 
 
 def hilbert_through_stabilization(S: NumericalSemigroup, h_min: int = 1) -> HilbertFunction:
-    """Hilbert values extended far enough that ``stable_from`` is present."""
-    return _oracle_checked(S, _from_rows(S, max(h_min, 1), extend=True))
+    """Hilbert values extended far enough that ``stable_from`` is present; TypeError as above."""
+    return _oracle_checked(S, _from_rows(S, max(_integer(h_min), 1), extend=True))
 
 
 def decrease_levels(H: HilbertFunction) -> tuple[int, ...]:

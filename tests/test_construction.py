@@ -282,17 +282,21 @@ def _clear_caches():
     pseudo_frobenius.cache_clear()
 
 
-@pytest.mark.parametrize("ell", [4, 5, 10])
+@pytest.mark.parametrize("ell", [4, 5, 10, 16])
 def test_construction_check_gathers_each_row_once(monkeypatch, ell):
     # the oracle's stable_from + 1 rows, the build certificate, K(S) + M (read by PF and by
-    # the definition of almost symmetry alike) and apery_table's gathered Ap(2M)
+    # the definition of almost symmetry alike) and apery_table's gathered Ap(2M); at l = 16
+    # the frontier checker replaces the oracle, and it gathers all classes for two rows only
     _clear_caches()
     steps = _count_steps(monkeypatch)
     assert verify_construction(ell).all_passed
     total = sum(steps)
     monkeypatch.undo()
     stable_from = hilbert_through_stabilization(construct_asd(ell).semigroup).stable_from
-    assert total == stable_from + 4
+    if ell == 16:
+        assert sorted(steps) == [1, 1, 1, 2] and stable_from == 33
+    else:
+        assert total == stable_from + 4
     _clear_caches()
 
 

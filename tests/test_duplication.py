@@ -306,6 +306,12 @@ def test_witness_report_json():
     assert all("min_gens" in step for step in rich["chain"])
 
 
+@pytest.mark.parametrize("level, drop", [(4, 1.5), (4, True), (4.0, 1)])
+def test_witness_rejects_a_level_or_drop_that_is_no_integer(level, drop):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer|is a bool"):
+        gorenstein_witness(level, drop)
+
+
 def test_witness_runs_the_oracle_on_the_seed_only(monkeypatch):
     oracle_calls = []
     oracle = numsgps.hilbert.hilbert_by_set_construction

@@ -36,7 +36,7 @@ from numsgps import (
     standard_canonical_ideal,
 )
 from numsgps.core import _min_plus
-from numsgps.hilbert import _from_rows, _levels, _walk
+from numsgps.hilbert import _from_rows, _frontier_checked, _levels, _walk
 
 from conftest import (
     _exit_under_python_O,
@@ -554,6 +554,124 @@ def test_hilbert_cross_check_catches_a_redundant_generator():
     with pytest.raises(AssertionError, match="Apery-row and set-construction Hilbert values disagree"):
         hilbert_function(_redundant_generator_semigroup(), 3)
     _walk.cache_clear()
+
+
+@given(semigroup_gens(max_gen=12), st.one_of(st.none(), st.integers(min_value=0, max_value=12)))
+@example([1], None)
+@example([1], 4)
+@example([2, 3], 3)
+@example([5, 6, 7, 8, 9], None)
+@example(list(fixture_semigroup("ex3_9_nonproper").min_gens), 6)
+@settings(max_examples=60, deadline=None)
+def test_frontier_checker_matches_the_oracle_and_brute(gens, h_max):
+    # through stabilization (None) or to a bounded h_max, past R or short of it
+    S = NumericalSemigroup.from_generators(gens)
+    n = hilbert_through_stabilization(S).stable_from if h_max is None else h_max
+    checked = _frontier_checked(S, n)
+    assert all(type(h) is int for h in checked)
+    assert checked == hilbert_by_set_construction(S, n) == brute_hilbert(S.min_gens, n)
+
+
+def test_frontier_checker_widens_past_the_walks_int16_range(monkeypatch):
+    # max(W_0) = 30538 and max(G) = 10745: the walk's [-10745, 30538] fits int16, but the gaps
+    # D[r] - g - D[s] reach -10745 - 30538, which wraps int16 into a false certificate failure
+    S = NumericalSemigroup.from_generators([27, 1131, 10745])
+    chosen = record_narrow(monkeypatch, numsgps.hilbert)
+    assert _frontier_checked(S, 10) == hilbert_by_set_construction(S, 10)
+    assert chosen == [np.int32]
+    assert next(_levels(S))[0].dtype == np.int16
+
+
+def test_frontier_checker_rise_certificate_fires_under_python_O():
+    # a first min+ step that raises class 1 by 2e is no min+ step of Apery rows
+    proc = run_script(
+        "import sys\n"
+        "import numsgps.hilbert as hilbert\n"
+        "from numsgps import construct_asd\n"
+        "from numsgps.core import CertificationError\n"
+        "steps = hilbert._min_plus_steps\n"
+        "def bumped(v, shifts, n):\n"
+        "    for row in steps(v, shifts, n):\n"
+        "        row[1] += 2 * len(row)\n"
+        "        yield row\n"
+        "hilbert._min_plus_steps = bumped\n"
+        "try:\n"
+        "    hilbert._frontier_checked(construct_asd(16).semigroup, 5)\n"
+        "except CertificationError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n",
+        "-O",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 frontier checker: a min+ step rose by other than 0 or e\n"
+
+
+def test_frontier_checker_gap_certificate_fires_under_python_O():
+    # gaps formed in int16 wrap on <27, 1131, 10745>: a wrapped gap reads above 0
+    proc = run_script(
+        "import sys\n"
+        "import numpy as np\n"
+        "import numsgps.hilbert as hilbert\n"
+        "from numsgps import NumericalSemigroup\n"
+        "from numsgps.core import CertificationError\n"
+        "hilbert._narrow = lambda lo, hi: np.int16\n"
+        "try:\n"
+        "    hilbert._frontier_checked(NumericalSemigroup.from_generators([27, 1131, 10745]), 10)\n"
+        "except CertificationError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n",
+        "-O",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("1 frontier checker: a frontier entry plus a generator lies"
+                           " below its row\n")
+
+
+def test_frontier_checked_cross_check_catches_a_corrupted_walk(monkeypatch):
+    # the walk drops one class from Z_3, so its H(2) is one too large; the checker's is not
+    levels = numsgps.hilbert._levels
+
+    def corrupted(S):
+        for k, (D, inZ) in enumerate(levels(S)):
+            if k == 3:
+                inZ = inZ.copy()
+                inZ[inZ.argmax()] = False
+            yield D, inZ
+
+    monkeypatch.setattr(numsgps.hilbert, "_levels", corrupted)
+    _walk.cache_clear()
+    with pytest.raises(AssertionError,
+                       match="^Apery-row and frontier-checked Hilbert values disagree$"):
+        hilbert_through_stabilization(construct_asd(16).semigroup)
+    _walk.cache_clear()
+
+
+@pytest.mark.parametrize("S, call, route", [
+    (construct_asd(4).semigroup, hilbert_through_stabilization, "dense"),
+    (construct_asd(16).semigroup, hilbert_through_stabilization, "frontier"),
+    (NumericalSemigroup.from_generators([4, 6, 7]), hilbert_through_stabilization, "dense"),
+    (NumericalSemigroup.from_generators([10007, 10009]), lambda S: hilbert_function(S, 3), "dense"),
+], ids=["asd4", "asd16", "4,6,7", "10007,10009"])
+def test_hilbert_route_follows_the_cost_estimate(monkeypatch, S, call, route):
+    # the checker runs where its frontier gathers are cheaper than the oracle's dense levels
+    routes = []
+    oracle = numsgps.hilbert.hilbert_by_set_construction
+    monkeypatch.setattr(numsgps.hilbert, "hilbert_by_set_construction",
+                        lambda S, n: routes.append("dense") or oracle(S, n))
+    monkeypatch.setattr(numsgps.hilbert, "_frontier_checked",
+                        lambda S, n: routes.append("frontier") or _frontier_checked(S, n))
+    call(S)
+    assert routes == [route]
+    _walk.cache_clear()
+
+
+def test_integer_parameters_of_the_hilbert_calls():
+    S = NumericalSemigroup.from_generators([4, 6, 7])
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        hilbert_function(S, 2.0)
+    with pytest.raises(TypeError, match="is a bool, not an integer"):
+        hilbert_function(S, True)
+    with pytest.raises(TypeError, match="is a bool, not an integer"):
+        hilbert_through_stabilization(S, True)
+    assert hilbert_function(S, np.int64(2)) == hilbert_function(S, 2)
 
 
 def test_apery_rows_across_gather_blocks(rng, monkeypatch):

@@ -31,3 +31,10 @@ def test_a_changed_output_is_named(monkeypatch):
     at = next(i for i, line in enumerate(lines) if " DIFFER " in line)
     assert lines[at].endswith("  pseudo_frobenius")
     assert lines[at + 1].startswith("    first difference at [1]: '[-1]' / '[-1, 0]'")
+
+
+def test_the_patched_checker_command_exits_4():
+    commands = dict(parity._special_commands(numsgps))
+    out = commands["construct --ell 16 --verify (frontier checker patched to zeros)"]()
+    assert out.startswith("exit 4\n")
+    assert out.endswith("Apery-row and frontier-checked Hilbert values disagree\n")

@@ -219,6 +219,8 @@ def _run_cli(argv: list[str]) -> str:
 def _special_commands(numsgps) -> list[tuple[str, object]]:
     """Commands that need more than a call of main: a patch, an environment or a process."""
     def patched(argv, module, name, value):
+        if not hasattr(module, name):  # a tree from before that route existed
+            return f"no {module.__name__}.{name} to patch"
         original = getattr(module, name)
         setattr(module, name, value)
         try:
@@ -252,6 +254,10 @@ def _special_commands(numsgps) -> list[tuple[str, object]]:
     return [
         ("hilbert 4,6,7 (oracle patched to zeros)",
          lambda: patched(["hilbert", "4,6,7"], oracle, "hilbert_by_set_construction",
+                         lambda S, h_max: [0] * (h_max + 1))),
+        # l = 16 takes the frontier checker's route, where the patch above would not be read
+        ("construct --ell 16 --verify (frontier checker patched to zeros)",
+         lambda: patched(["construct", "--ell", "16", "--verify"], oracle, "_frontier_checked",
                          lambda S, h_max: [0] * (h_max + 1))),
         ("check-fixtures (SEMIGROUP_FIXTURES empty)", empty_fixture_dir),
         ("python -m numsgps info 4,5", lambda: process(["-m", "numsgps", "info", "4,5"])),
